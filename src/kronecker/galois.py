@@ -188,19 +188,61 @@ def _is_transitive(perms, n):
 
 _subgroup_cache = {}
 
+# One representative per conjugacy class of transitive subgroups of S_n,
+# n <= 5, each given by generators (0-indexed image tuples).  The classes are
+# those of Butler and McKay, "The transitive groups of degree up to eleven"
+# (Comm. Algebra 11, 1983): 1, 1, 2, 5 and 5 classes for n = 1..5.
+_TRANSITIVE_CLASSES = {
+    1: [[(0,)]],
+    2: [[(1, 0)]],
+    3: [
+        [(1, 2, 0)],  # C3
+        [(1, 2, 0), (1, 0, 2)],  # S3
+    ],
+    4: [
+        [(1, 2, 3, 0)],  # C4
+        [(1, 0, 3, 2), (2, 3, 0, 1)],  # V4
+        [(1, 2, 3, 0), (0, 3, 2, 1)],  # D4
+        [(1, 2, 0, 3), (1, 0, 3, 2)],  # A4
+        [(1, 2, 3, 0), (1, 0, 2, 3)],  # S4
+    ],
+    5: [
+        [(1, 2, 3, 4, 0)],  # C5
+        [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)],  # D5
+        [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)],  # F20, x -> 2x mod 5
+        [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)],  # A5
+        [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],  # S5
+    ],
+}
+
+
+def _conjugate(h, s):
+    """s h s^-1, which maps s(i) to s(h(i))."""
+    out = [0] * len(h)
+    for i, hi in enumerate(h):
+        out[s[i]] = s[hi]
+    return tuple(out)
+
 
 def _transitive_subgroups(n):
-    """All transitive subgroups of S_n, ascending order; n <= 5 so every
-    subgroup is generated by at most two elements."""
+    """All transitive subgroups of S_n for n <= 5, as sorted element lists,
+    ordered by (order, elements).
+
+    Each representative in ``_TRANSITIVE_CLASSES``, the conjugacy classes
+    of Butler and McKay (1983), is closed once and conjugated by all n!
+    permutations; duplicates are dropped.
+    """
     if n in _subgroup_cache:
         return _subgroup_cache[n]
-    elems = list(itertools.permutations(range(n)))
+    if n not in _TRANSITIVE_CLASSES:
+        raise DomainError(f"transitive subgroups are tabulated for degree <= {MAX_DEGREE}")
+    perms = list(itertools.permutations(range(n)))
     groups = set()
-    for g in elems:
-        groups.add(_closure([g], n))
-    for g, h in itertools.combinations(elems, 2):
-        groups.add(_closure([g, h], n))
-    out = [sorted(H) for H in groups if _is_transitive(H, n)]
+    for gens in _TRANSITIVE_CLASSES[n]:
+        H = _closure(gens, n)
+        for s in perms:
+            groups.add(frozenset(_conjugate(h, s) for h in H))
+    out = [sorted(H) for H in groups]
     out.sort(key=lambda H: (len(H), H))
     _subgroup_cache[n] = out
     return out
@@ -242,7 +284,8 @@ def _monic_integer_model(f):
         return prim
     coeffs = [c * Fraction(a) ** (n - 1 - k) for k, c in enumerate(prim.coeffs)]
     out = UniPoly(f.variable, coeffs)
-    assert out.is_monic() and out.has_integer_coeffs()
+    if not (out.is_monic() and out.has_integer_coeffs()):
+        raise AlgebraError("monic integer model is not monic with integer coefficients")
     return out
 
 
@@ -304,7 +347,6 @@ def _try_round_integer(coeffs_high_low, eps_accept, eps_reject):
     """Round complex coefficients to integers; True/False/None = need more dps."""
     out = []
     for c in coeffs_high_low:
-        re = mpmath.nstr(c.real, 30)
         nearest = int(mpmath.nint(c.real))
         dist = abs(c.real - nearest) + abs(c.imag)
         if dist < eps_accept:

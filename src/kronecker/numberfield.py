@@ -214,8 +214,6 @@ class AlgNum:
         """Matrix of y -> self*y in the power basis (columns are images)."""
         n = self.field.degree
         cols = []
-        power = self
-        basis_elt = self.field.one()
         for j in range(n):
             img = self * self.field.element([0] * j + [1])
             cols.append(img.coords)
@@ -273,8 +271,13 @@ def norm_trace_minpoly(a):
 
 
 def is_integral(a):
-    """True when the minimal polynomial is monic with integer coefficients."""
-    return a.minimal_polynomial().has_integer_coeffs()
+    """True when the minimal polynomial is monic with integer coefficients.
+
+    The characteristic polynomial is a power of the minimal polynomial, and
+    both are monic, so it lies in Z[x] exactly when the minimal polynomial
+    does (Gauss's lemma).
+    """
+    return a.charpoly().has_integer_coeffs()
 
 
 def discriminant_of_quantities(field, quantities):
@@ -284,7 +287,6 @@ def discriminant_of_quantities(field, quantities):
         raise DomainError(
             f"need exactly {field.degree} quantities, got {len(quantities)}"
         )
-    prods = {}
     n = field.degree
     gram = [[_ZERO] * n for _ in range(n)]
     for i in range(n):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kronecker import galois
 from kronecker.errors import DomainError
 from kronecker.galois import (
     GaloisResult,
@@ -184,3 +185,29 @@ def test_genus_disc_specialization_23():
     _, _, equal = genus_disc_identity(3)
     assert equal
     assert d ** 3 == -12167
+
+
+def _all_pairs_transitive_subgroups(n):
+    """Reference: close every pair of permutations (every subgroup of S_n,
+    n <= 5, has at most two generators) and keep the transitive ones."""
+    elems = list(itertools.permutations(range(n)))
+    groups = {galois._closure([g], n) for g in elems}
+    groups.update(galois._closure([g, h], n) for g, h in itertools.combinations(elems, 2))
+    out = [sorted(H) for H in groups if galois._is_transitive(H, n)]
+    out.sort(key=lambda H: (len(H), H))
+    return out
+
+
+def test_transitive_subgroups_match_all_pairs_closure():
+    saved = dict(galois._subgroup_cache)
+    galois._subgroup_cache.clear()
+    try:
+        for n, count in zip(range(1, 6), (1, 1, 2, 9, 20)):
+            table = galois._transitive_subgroups(n)
+            assert len(table) == count
+            assert table == _all_pairs_transitive_subgroups(n)
+        with pytest.raises(DomainError):
+            galois._transitive_subgroups(6)
+    finally:
+        galois._subgroup_cache.clear()
+        galois._subgroup_cache.update(saved)

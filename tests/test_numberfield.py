@@ -89,6 +89,22 @@ def test_is_integral():
     assert is_integral(Ki.gen())
 
 
+def test_is_integral_agrees_with_the_minimal_polynomial():
+    rng = random.Random(4)
+    for text in ("x^2 + 1", "x^2 + 5", "x^2 - 5", "x^2 - x - 1", "x^3 - x - 1", "x^3 - 2"):
+        K = nf_new(text)
+        for denom in (1, 2, 3):
+            for _ in range(6):
+                a = _random_element(rng, K, denom)
+                assert is_integral(a) == a.minimal_polynomial().has_integer_coeffs()
+        # rational elements: the charpoly is a proper power of the minimal polynomial
+        for c in (Fraction(3, 2), Fraction(-4)):
+            assert is_integral(K.element([c])) == (c.denominator == 1)
+    # (1 + sqrt 5) / 2 is integral with non-integer coordinates
+    half = nf_new("x^2 - 5").element([Fraction(1, 2), Fraction(1, 2)])
+    assert is_integral(half) and half.minimal_polynomial() == UniPoly("x", [-1, -1, 1])
+
+
 def test_disc_of_quantities_examples():
     Ki = nf_new("x^2 + 1")
     assert discriminant_of_quantities(Ki, [Ki.one(), Ki.gen()]) == -4
