@@ -111,7 +111,8 @@ def _ramified_divisor(field, p):
     """The divisor above a ramified prime via the double root mod p."""
     mp = factor_mod_p(field.minpoly, p)
     (g, mult), = mp.factors
-    assert mult == 2 and g.degree == 1
+    if mult != 2 or g.degree != 1:
+        raise AlgebraError(f"ramified prime {p}: expected a double linear factor mod p")
     lift = UniPoly(field.minpoly.variable, [int(c) for c in g.coeffs])
     form = DivisorForm(
         field, ("u1",), {(0,): field.element([p]), (1,): field.from_int_poly(lift)}

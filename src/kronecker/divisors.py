@@ -493,7 +493,8 @@ def decompose_prime(field, p):
         )
     var = field.minpoly.variable
     mp = factor_mod_p(field.minpoly, p)
-    assert all(m == 1 for _, m in mp.factors), "unramified prime with repeated factor"
+    if any(m != 1 for _, m in mp.factors):
+        raise AlgebraError("unramified prime with repeated factor")
     lifts = sorted(
         (_lift_modp([int(c) for c in g.coeffs], var) for g, _ in mp.factors),
         key=lambda g: (g.degree, tuple(int(c) for c in g.coeffs)),
@@ -521,8 +522,8 @@ def decompose_prime(field, p):
             E = combo * Fraction(1, p)
             if not E.has_integer_coeffs():
                 raise AlgebraError("Bezout witness failed to lift")
-            assert a_poly * lifts[i] + b_poly * lifts[j] == UniPoly(var, [C]) + E * p
-            assert C % p != 0
+            if a_poly * lifts[i] + b_poly * lifts[j] != UniPoly(var, [C]) + E * p or C % p == 0:
+                raise AlgebraError("Bezout witness does not certify coprimality")
             out[i].bezout[j] = (a_poly, b_poly, int(C), E)
             out[j].bezout[i] = (b_poly, a_poly, int(C), E)
     # product certificate: prod(D_i) and p divide each other

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from kronecker import primes
-from kronecker.errors import DomainError
+from kronecker.errors import AlgebraError, DomainError
 from kronecker.polyring import MultiPoly, UniPoly, content_primitive, parse_poly
 from kronecker import polyring
 
@@ -253,7 +253,8 @@ def factor_univariate(F, _cap=UNIVARIATE_DEGREE_CAP):
         rebuilt = rebuilt * g**m
     unit = F.coeffs[-1] / rebuilt.coeffs[-1]
     out = Factorization(unit, [(g.to_multipoly(), m) for g, m in pieces])
-    assert UniPoly.from_multipoly(out.expand(), F.variable) == F
+    if UniPoly.from_multipoly(out.expand(), F.variable) != F:
+        raise AlgebraError("factors do not multiply back to the input")
     return out
 
 
@@ -361,7 +362,8 @@ def factor_multivariate(F):
     for g, m in pieces:
         rebuilt = rebuilt * g**m
     quo = F.div_exact(rebuilt)
-    assert quo is not None and quo.is_constant, "re-expansion must recover the input"
+    if quo is None or not quo.is_constant:
+        raise AlgebraError("re-expansion must recover the input")
     out = Factorization(quo.constant_value(), pieces)
     return out
 
@@ -489,5 +491,6 @@ def factor_mod_p(F, p):
         p, [(UniPoly(var, c), m) for c, m in factors]
     )
     total = sum(g.degree * m for g, m in out.factors)
-    assert total == F.degree
+    if total != F.degree:
+        raise AlgebraError("mod-p factor degrees do not add up to the degree")
     return out

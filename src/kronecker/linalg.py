@@ -12,26 +12,44 @@ MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 12
 
 
 def mat_det(rows):
-    """Determinant of a square Fraction matrix (fraction-free Bareiss)."""
-    n = len(rows)
+    """Determinant of a square matrix of ints or rationals, exactly.
+
+    Fraction-free Bareiss elimination (Bareiss 1968) on integers.  After
+    step k every remaining entry is a (k+2)-minor of the matrix, so each
+    division by the previous pivot is exact and is done with //.  An all-int
+    matrix gives an int.  Otherwise each row is scaled to integers by the
+    lcm of its denominators, and the integer determinant divided by the
+    product of those lcms comes back as a Fraction.
+    """
+    if all(isinstance(x, int) for r in rows for x in r):
+        return _bareiss([list(r) for r in rows])
+    scale, m = 1, []
+    for r in rows:
+        r = [Fraction(x) for x in r]
+        d = lcm(*(x.denominator for x in r))
+        scale *= d
+        m.append([x.numerator * (d // x.denominator) for x in r])
+    return Fraction(_bareiss(m), scale)
+
+
+def _bareiss(m):
+    """Determinant of a square integer matrix, overwriting it."""
+    n = len(m)
     if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    prev = Fraction(1)
+        return 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, tail = m[k][k], m[k][k + 1 :]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
+            row = m[i]
+            a = row[k]
+            row[k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
         prev = pivot
     return sign * m[n - 1][n - 1]
 

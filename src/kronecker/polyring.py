@@ -13,12 +13,77 @@ function.
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
+from math import prod
+from operator import mul
 
-from kronecker._kernel import add_scaled_terms, mul_terms
+from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError, ParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# term-map kernels
+# ---------------------------------------------------------------------------
+# A term map is a dict mapping exponent tuples (one int per variable) to
+# nonzero Fraction coefficients.  These two functions carry most of the
+# package's arithmetic load, so coefficient sums are accumulated on raw
+# (numerator, denominator) integer pairs and normalized once per output term
+# instead of going through Fraction on every partial product.
+
+
+def mul_terms(a, b):
+    """Product of two term maps."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc = {}
+    get = acc.get
+    for ea, ca in a.items():
+        na = ca.numerator
+        da = ca.denominator
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            n = na * cb.numerator
+            d = da * cb.denominator
+            cur = get(key)
+            if cur is None:
+                acc[key] = [n, d]
+            elif cur[1] == d:
+                cur[0] += n
+            else:
+                cur[0] = cur[0] * d + n * cur[1]
+                cur[1] *= d
+    out = {}
+    for key, (n, d) in acc.items():
+        if n:
+            out[key] = Fraction(n, d)
+    return out
+
+
+def add_scaled_terms(a, b, c):
+    """a + c*b for term maps a, b and a Fraction scale c."""
+    if not c:
+        return dict(a)
+    out = dict(a)
+    cn = c.numerator
+    cd = c.denominator
+    for eb, cb in b.items():
+        cur = out.get(eb)
+        if cur is None:
+            v = cb if cn == 1 and cd == 1 else Fraction(cn * cb.numerator, cd * cb.denominator)
+            if v:
+                out[eb] = v
+        else:
+            v = cur + cb if cn == 1 and cd == 1 else Fraction(
+                cur.numerator * cd * cb.denominator + cn * cb.numerator * cur.denominator,
+                cur.denominator * cd * cb.denominator,
+            )
+            if v:
+                out[eb] = v
+            else:
+                del out[eb]
+    return out
 
 
 def _grlex_key(exps):
@@ -779,10 +844,149 @@ def _prem(a, b, name):
     return rem
 
 
+# gcd's evaluations per variable, and its cap on the bits of xi^deg, so that
+# no evaluation swells without bound
+_HEU_TRIES = 7
+_HEU_MAX_BITS = 1 << 18
+
+
+class _HeuristicFailed(Exception):
+    """GCDHEU found no certified gcd within its tries and size guard."""
+
+
 def gcd(p, q):
-    """Greatest common divisor, normalized primitive with positive leading
-    coefficient; computed by primitive-part pseudo-remainder sequences
-    recursing on the variable count."""
+    """Greatest common divisor, normalized primitive with positive graded-lex
+    leading coefficient; gcd(0, 0) = 0 and a constant gcd is 1.
+
+    Heuristic gcd by integer evaluation (Char, Geddes and Gonnet, "GCDHEU",
+    J. Symb. Comp. 7, 1989).  Both inputs are scaled to primitive integer
+    polynomials, and the last variable is evaluated at
+    xi = 2*min(|f|, |g|) + 29, where |.| is the largest coefficient.  The
+    gcd of the evaluations, computed by the same method one variable down
+    and by math.gcd at the bottom, is expanded in symmetric base xi back
+    into a polynomial in the last variable; its primitive part is the
+    candidate.  Certificate: the candidate divides both inputs exactly in
+    Z[x].  Every common divisor passes that check; that
+    the certified candidate is the greatest rests on the CGG theorem, which
+    needs xi > 2*min(|f|, |g|) + 1.
+
+    An uncertified candidate retries with xi grown by 73794/27011, at most
+    _HEU_TRIES evaluations per variable, and no evaluation may reach
+    _HEU_MAX_BITS bits per coefficient.  When a level exhausts them, the
+    primitive pseudo-remainder sequence (_gcd_prs) answers instead.
+    """
+    if p.is_zero and q.is_zero:
+        return MultiPoly.zero(p.variables)
+    if p.is_zero:
+        return normalize_primitive(q)
+    if q.is_zero:
+        return normalize_primitive(p)
+    p, q = p._align(q)
+    names = p.used_variables() | q.used_variables()
+    used = [v for v in p.variables if v in names]
+    if not used:
+        return MultiPoly.const(1, p.variables)
+    try:
+        h = _heu_gcd(_int_terms(p, used), _int_terms(q, used))
+    except _HeuristicFailed:
+        return _gcd_prs(p, q)
+    return normalize_primitive(MultiPoly(used, h).with_variables(p.variables))
+
+
+def _int_terms(p, used):
+    """Integer term map of p's primitive part over the variables used."""
+    prim = content_primitive(p)[1].with_variables(used)
+    return {e: c.numerator for e, c in prim.terms.items()}
+
+
+def _heu_gcd(f, g):
+    """gcd in Z[x_1..x_k] of two nonzero integer term maps, integer content
+    included, with x_k evaluated first; raises _HeuristicFailed."""
+    cf, cg = int_gcd(*f.values()), int_gcd(*g.values())
+    c = int_gcd(cf, cg)
+    k = len(next(iter(f)))
+    if _is_constant_map(f) or _is_constant_map(g):
+        return {(0,) * k: c}
+    f = {e: v // cf for e, v in f.items()}
+    g = {e: v // cg for e, v in g.items()}
+    deg = max(e[-1] for e in (*f, *g))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
+            break
+        ff, gg = _eval_last(f, xi), _eval_last(g, xi)
+        if ff or gg:
+            # gcd(a, 0) = a with its content: the content is part of the gcd
+            # of the evaluations, and the interpolation needs it
+            h = _heu_gcd(ff, gg) if ff and gg else ff or gg
+            cand = _interpolate_last(h, xi)
+            content = int_gcd(*cand.values())
+            cand = {e: v // content for e, v in cand.items()}
+            if _int_divides(cand, f) and _int_divides(cand, g):
+                return {e: v * c for e, v in cand.items()}
+        xi = xi * 73794 // 27011
+    raise _HeuristicFailed
+
+
+def _is_constant_map(f):
+    return len(f) == 1 and not any(next(iter(f)))
+
+
+def _eval_last(f, xi):
+    """f at x_k = xi, as a term map in x_1..x_(k-1) without zero terms."""
+    powers = [1]
+    for _ in range(max(e[-1] for e in f)):
+        powers.append(powers[-1] * xi)
+    out = {}
+    for e, c in f.items():
+        key = e[:-1]
+        out[key] = out.get(key, 0) + c * powers[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate_last(h, xi):
+    """Symmetric base-xi expansion of each coefficient of h into powers of a
+    new last variable: digits lie in (-xi/2, xi/2]."""
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e + (k,)] = d
+            c = (c - d) // xi
+            k += 1
+    return out
+
+
+def _int_divides(h, f):
+    """Whether the primitive integer term map h divides f in Z[x]; by Gauss's
+    lemma that is divisibility over Q."""
+    he = max(h, key=_grlex_key)
+    hc = h[he]
+    rem = dict(f)
+    while rem:
+        re = max(rem, key=_grlex_key)
+        qc, r = divmod(rem[re], hc)
+        qe = tuple(i - j for i, j in zip(re, he))
+        if r or min(qe) < 0:
+            return False
+        for e, c in h.items():
+            key = tuple(i + j for i, j in zip(e, qe))
+            v = rem.get(key, 0) - qc * c
+            if v:
+                rem[key] = v
+            else:
+                del rem[key]
+    return True
+
+
+def _gcd_prs(p, q):
+    """gcd by primitive pseudo-remainder sequences, recursing on the variable
+    count: gcd's fallback and its reference in the tests."""
     if p.is_zero and q.is_zero:
         return MultiPoly.zero(p.variables)
     if p.is_zero:
@@ -797,8 +1001,8 @@ def gcd(p, q):
     if p.degree(name) == 0 or q.degree(name) == 0:
         # a poly of degree 0 in the chosen variable divides only via content
         if p.degree(name) == 0:
-            return gcd(p, _content_in(q, name))
-        return gcd(_content_in(p, name), q)
+            return _gcd_prs(p, _content_in(q, name))
+        return _gcd_prs(_content_in(p, name), q)
     cp = _content_in(p, name)
     cq = _content_in(q, name)
     cont = gcd(cp, cq)
@@ -818,15 +1022,101 @@ def gcd(p, q):
     return normalize_primitive(cont * g)
 
 
-def poly_matrix_det(rows):
-    """Determinant of a square matrix of MultiPoly entries.
+# poly_matrix_det packs only while its slot count is at most this many times
+# the Leibniz bound on the determinant's term count; see its docstring.
+_SLOTS_PER_TERM = 16
 
-    Fraction-free Bareiss elimination; all interior divisions are exact.
+
+def poly_matrix_det(rows):
+    """Determinant of a square matrix of MultiPoly entries, exactly.
+
+    Kronecker's device: pack every entry into one integer, run integer
+    Bareiss (linalg.mat_det) once, and read the determinant out of the
+    digits of the result.
+
+    - Row i is scaled to integers by the lcm d_i of its denominators.
+    - Variable v gets the span s_v = 1 + sum over rows of the row's largest
+      degree in v, which exceeds deg_v of the determinant.  Exponent e goes
+      to slot sum_v e_v * w_v, with w_v the product of the spans of the
+      earlier variables: a mixed-radix map that keeps the determinant's
+      monomials apart, in S = prod_v s_v slots.
+    - By Leibniz, the determinant's l1 norm is at most the permanent of the
+      entries' l1 norms, so at most B = prod_i sum_j |a_ij|_1; the same
+      bound holds for every minor.  A slot is k bits wide, a whole number
+      of bytes with 2^(k-1) > B, so each coefficient is one signed digit
+      in base t = 2^k.
+    - Evaluating the entries at the slot map is a ring homomorphism, so the
+      integer determinant is the packed determinant polynomial.  Adding
+      2^(k-1) (t^S - 1)/(t - 1) makes every digit nonnegative, and the
+      digits are read with int.to_bytes, not by shifting, which would cost
+      time quadratic in S.  The result is divided by prod_i d_i.
+
+    Each term of the determinant is a product of one term from each row,
+    so it has at most P = prod_i |monomials of row i| terms.  When S
+    exceeds _SLOTS_PER_TERM * P, the packed integers would be almost all
+    zero digits (a sparse determinant in many variables, such as the
+    resultants of elimination.eliminate_step in the U and V weights, where
+    S/P is 40-100), and fraction-free Bareiss on the term maps runs
+    instead, every division exact.
     """
     n = len(rows)
     if n == 0:
         return MultiPoly.const(1)
-    m = [list(r) for r in rows]
+    variables = list(rows[0][0].variables)
+    for row in rows:
+        for a in row:
+            variables.extend(v for v in a.variables if v not in variables)
+    variables = tuple(variables)
+    m = [[a if a.variables == variables else a.with_variables(variables) for a in row] for row in rows]
+    spans = [1 + sum(max((e[v] for a in row for e in a.terms), default=0) for row in m) for v in range(len(variables))]
+    slots = prod(spans)
+    if slots > _SLOTS_PER_TERM * prod(len({e for a in row for e in a.terms}) for row in m):
+        return _poly_matrix_det_terms(m)
+    scale, bound, int_rows = 1, 1, []
+    for row in m:
+        d = int_lcm(*(c.denominator for a in row for c in a.terms.values()))
+        ints = [{e: c.numerator * (d // c.denominator) for e, c in a.terms.items()} for a in row]
+        bound *= sum(abs(c) for t in ints for c in t.values())
+        scale *= d
+        int_rows.append(ints)
+    if not bound:
+        return MultiPoly.zero(variables)
+    width = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8*width - 1) > bound
+    weights = [prod(spans[:v]) for v in range(len(spans))]
+    det = linalg.mat_det([[_pack(t, weights, width) for t in row] for row in int_rows])
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    raw = (det + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
+    terms = {}
+    for s in range(slots):
+        digit = raw[s * width : (s + 1) * width]
+        if digit != zero:
+            e, r = [], s
+            for span in spans:
+                r, k = divmod(r, span)
+                e.append(k)
+            terms[tuple(e)] = Fraction(int.from_bytes(digit, "little") - half, scale)
+    return MultiPoly(variables, terms)
+
+
+def _pack(terms, weights, width):
+    """Value of an integer term map at the slot map, width bytes per slot;
+    every |coefficient| < 2^(8*width - 1)."""
+    if not terms:
+        return 0
+    slotted = {sum(map(mul, e, weights)): c for e, c in terms.items()}
+    top = (max(slotted) + 1) * width
+    pos, neg = bytearray(top), bytearray(top)
+    for s, c in slotted.items():
+        (pos if c > 0 else neg)[s * width : (s + 1) * width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _poly_matrix_det_terms(m):
+    """Fraction-free Bareiss elimination on term maps; all interior
+    divisions are exact."""
+    n = len(m)
+    m = [list(r) for r in m]
     variables = m[0][0].variables
     sign = 1
     prev = MultiPoly.const(1, variables)

@@ -1,5 +1,6 @@
 """Characteristic polynomials against determinant interpolation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -62,6 +63,34 @@ def _check(a):
 
 def test_empty_matrix():
     assert linalg.charpoly([]) == [1]
+
+
+def _leibniz(a):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(a)), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_integer_det_matches_fraction_det():
+    assert linalg.mat_det([]) == 1
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        a = [[rng.choice((0, rng.randint(-(10**6), 10**6))) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            a[-1] = list(a[0])
+        det = linalg.mat_det(a)
+        frac = linalg.mat_det([[Fraction(x) for x in r] for r in a])
+        assert type(det) is int and isinstance(frac, Fraction)
+        assert det == frac == _leibniz(a)
+        r = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
+        assert linalg.mat_det(r) == _leibniz(r)
 
 
 def test_random_integer_matrices():

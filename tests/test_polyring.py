@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic: parser, gcd, resultants, substitution."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronecker import polyring
 from kronecker.errors import DomainError, ParseError
 from kronecker.polyring import (
     MultiPoly,
@@ -16,6 +18,7 @@ from kronecker.polyring import (
     gcd,
     kronecker_inverse,
     kronecker_substitute,
+    mul_terms,
     parse_poly,
     poly_matrix_det,
     resultant,
@@ -23,15 +26,15 @@ from kronecker.polyring import (
 )
 
 
-def rand_poly(rng, nvars=2, max_deg=3, nterms=4, coeff=9):
-    names = ("x", "y", "z")[:nvars]
+def rand_poly(rng, nvars=2, max_deg=3, nterms=4, coeff=9, den=1):
+    names = ("x", "y", "z", "u", "v", "w")[:nvars]
     terms = {}
     for _ in range(nterms):
         e = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        c = rng.randint(-coeff, coeff)
+        c = Fraction(rng.randint(-coeff, coeff), rng.randint(1, den) if den > 1 else 1)
         if c:
             terms[e] = terms.get(e, 0) + c
-    return MultiPoly(names, {e: Fraction(c) for e, c in terms.items() if c})
+    return MultiPoly(names, {e: c for e, c in terms.items() if c})
 
 
 # -- parsing ----------------------------------------------------------------
@@ -186,6 +189,67 @@ def test_gcd_divides_both_ways():
     assert checked >= 450
 
 
+def test_gcd_keeps_the_content_of_a_vanishing_evaluation():
+    # at c = 31 the first input becomes 31*(b^2 - 31*b), which vanishes at
+    # b = 31; gcd(a, 0) must keep the content of a, or the answer shrinks to c
+    p = parse_poly("b^2*c - b*c^2")
+    q = parse_poly("-6*b^2*c^2", ["b", "c"])
+    assert gcd(p, q) == parse_poly("b*c")
+
+
+def test_gcd_heuristic_matches_prs():
+    rng = random.Random(23)
+    for _ in range(400):
+        nvars = rng.choice((1, 1, 2, 3, 5, 6))
+        den = rng.choice((1, 1, 4))
+        p = rand_poly(rng, nvars, rng.randint(0, 3), rng.randint(0, 4), 9, den)
+        q = rand_poly(rng, nvars, rng.randint(0, 3), rng.randint(0, 4), 9, den)
+        common = rand_poly(rng, nvars, rng.randint(0, 2), rng.randint(1, 3), 5, den)
+        shape = rng.random()
+        if shape < 0.6:
+            p, q = p * common, q * common
+        elif shape < 0.7:
+            q = p
+        elif shape < 0.8:
+            q = p * common * common
+        g = gcd(p, q)
+        ref = polyring._gcd_prs(p, q)
+        assert str(g) == str(ref), (p, q)
+
+
+def test_gcd_falls_back_to_prs(monkeypatch):
+    monkeypatch.setattr(polyring, "_HEU_MAX_BITS", 1)
+    p = parse_poly("(x^2 + y*z - 3)*(x*y - z + 2)")
+    q = parse_poly("(x^2 + y*z - 3)*(x*z + y^2 - 1)")
+    assert gcd(p, q) == parse_poly("x^2 + y*z - 3")
+
+
+def test_gcd_of_large_trivariate_products_is_fast():
+    # perfbench resultant seed 1: cofactors of x-degree 3 and (y, z)-degree
+    # 2; the pseudo-remainder sequence takes more than a minute on it
+    p = parse_poly(
+        "2*x^4*y^2 - 6*x^4*y*z + 4*x^4*y - 6*x^4*z^2 + 6*x^4*z + 6*x^4 - 3*x^3*y^3"
+        " + 6*x^3*y^2*z - 7*x^3*y^2 + 18*x^3*y*z^2 - 12*x^3*y*z - 9*x^3*y + 9*x^3*z^3"
+        " - 4*x^3*z^2 - 16*x^3*z + x^3 - 5*x^2*y^2 - 3*x^2*y*z^2 - 3*x^2*y*z - 13*x^2*y"
+        " - 3*x^2*z^3 + x^2*z^2 - 2*x^2*z + 3*x*y^3 + 12*x*y^2*z + 12*x*y^2 + 15*x*y*z^2"
+        " + 15*x*y*z + 2*x*y + 6*x*z^3 + 3*x*z^2 - 8*x*z - 3*x - 3*y^3 - 12*y^2*z - 4*y^2"
+        " - 15*y*z^2 + 2*y - 6*z^3 + 4*z^2 + 5*z + 1"
+    )
+    q = parse_poly(
+        "6*x^4*y^2 + 6*x^4*y*z - 4*x^4*y - 6*x^4*z^2 - 6*x^4 - 9*x^3*y^3 - 18*x^3*y^2*z"
+        " - x^3*y^2 + x^3*y*z + 5*x^3*y + 9*x^3*z^3 - 3*x^3*z^2 + 3*x^3*z + x^3"
+        " + 6*x^2*y^3 + 9*x^2*y^2*z + 17*x^2*y^2 + 12*x^2*y*z^2 + 25*x^2*y*z + 9*x^2*z^3"
+        " + 18*x^2*z^2 + 2*x^2*z + 3*x^2 - 9*x*y^3 - 18*x*y^2*z - 18*x*y*z^2 + 8*x*y*z"
+        " - 6*x*y - 9*x*z^3 + x*z^2 - 7*x*z - x + 9*y^3 + 15*y^2*z + 12*y^2 + 9*y*z^2"
+        " + 20*y*z + 3*y + 3*z^3 + 10*z^2 + 3*z",
+        ["x", "y", "z"],
+    )
+    start = time.perf_counter()
+    g = gcd(p, q)
+    assert time.perf_counter() - start < 1.0
+    assert g == parse_poly("2*x - 3*y - 3*z - 1")
+
+
 # -- resultants -----------------------------------------------------------------
 
 
@@ -229,6 +293,95 @@ def test_resultant_is_sylvester_det():
     p = parse_poly("2*x^2 + y")
     q = parse_poly("x^3 - y*x + 1")
     assert resultant(p, q, "x") == poly_matrix_det(sylvester_matrix(p, q, "x"))
+
+
+def _rand_entry(rng, nvars, den):
+    shape = rng.random()
+    names = ("x", "y", "z", "u")[:nvars]
+    if shape < 0.2:
+        return MultiPoly.zero(names)
+    if shape < 0.35:
+        return MultiPoly.const(Fraction(rng.randint(-9, 9), den), names)
+    return rand_poly(rng, nvars, 2, rng.randint(1, 4), 20, den)
+
+
+def test_packed_det_matches_term_bareiss():
+    rng = random.Random(31)
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        n = rng.randint(1, 4 if nvars < 4 else 3)
+        rows = []
+        for _ in range(n):
+            den = rng.choice((1, 1, 6))
+            rows.append([_rand_entry(rng, nvars, den) for _ in range(n)])
+        assert poly_matrix_det(rows) == polyring._poly_matrix_det_terms(rows)
+
+
+def test_packed_det_at_digit_boundaries():
+    # a 1x1 monomial attains the Leibniz bound, so its coefficient sits at
+    # the edge of the signed digit; the 2x2 case mixes signs across slots
+    x = MultiPoly.var("x", ("x", "y"))
+    y = MultiPoly.var("y", ("x", "y"))
+    for c in (127, 128, 255, 256, 2**63, 2**64 - 1):
+        for sign in (1, -1):
+            rows = [[x * (sign * c), y], [MultiPoly.zero(("x", "y")), x - 1]]
+            assert poly_matrix_det(rows) == x * x * (sign * c) - x * (sign * c)
+            assert poly_matrix_det([[y * (sign * c)]]) == y * (sign * c)
+
+
+def test_sparse_det_past_the_slot_cap_uses_term_bareiss(monkeypatch):
+    calls = []
+    reference = polyring._poly_matrix_det_terms
+
+    def counted(rows):
+        calls.append(len(rows))
+        return reference(rows)
+
+    monkeypatch.setattr(polyring, "_poly_matrix_det_terms", counted)
+    names = tuple(f"a{i}" for i in range(12))
+    rows = [[MultiPoly.var(names[3 * i + j], names) + (i - j) for j in range(3)] for i in range(3)]
+    rows[2][0] = rows[2][0] * MultiPoly.var("a11", names) ** 3
+    det = poly_matrix_det(rows)
+    assert calls == [3]
+    assert det == reference(rows)
+
+
+def test_resultant_and_disc_match_the_term_route():
+    reference = polyring._poly_matrix_det_terms
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(30):
+        p = rand_poly(rng, 3, 3, rng.randint(2, 9), 5, rng.choice((1, 3)))
+        q = rand_poly(rng, 3, 3, rng.randint(2, 9), 5)
+        if p.degree("x") < 1 or q.degree("x") < 1:
+            continue
+        assert resultant(p, q, "x") == reference(sylvester_matrix(p, q, "x"))
+        m = p.degree("x")
+        if m >= 2:
+            expect = reference(sylvester_matrix(p, p.derivative("x"), "x")).div_exact(p.coeffs_in("x")[m])
+            assert discriminant(p, "x") == (-expect if (m * (m - 1) // 2) % 2 else expect)
+        checked += 1
+    assert checked >= 20
+
+
+def test_gcd_and_resultant_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+
+    def to_sympy(p):
+        return sympy.Poly(sympy.sympify(str(p).replace("^", "**")), x, y, z)
+
+    rng = random.Random(41)
+    for _ in range(20):
+        common = rand_poly(rng, 3, 2, 3, 5)
+        p = rand_poly(rng, 3, 2, 4, 5) * common
+        q = rand_poly(rng, 3, 2, 4, 5) * common
+        if p.is_zero or q.is_zero:
+            continue
+        expect = to_sympy(p).gcd(to_sympy(q)).primitive()[1]
+        assert to_sympy(gcd(p, q)) in (expect, -expect)
+        if p.degree("x") >= 1 and q.degree("x") >= 1:
+            assert to_sympy(resultant(p, q, "x")) == sympy.Poly(to_sympy(p).resultant(to_sympy(q)), x, y, z)
 
 
 # -- discriminant -----------------------------------------------------------------
@@ -290,6 +443,19 @@ def test_substitute_roundtrip_random():
 
 
 # -- misc structures ---------------------------------------------------------------
+
+
+def test_mul_is_convolution():
+    a = {(1, 0): Fraction(2)}
+    b = {(0, 1): Fraction(3), (1, 0): Fraction(-2)}
+    assert mul_terms(a, b) == {(1, 1): Fraction(6), (2, 0): Fraction(-4)}
+
+
+def test_cancellation_drops_zero():
+    a = {(0,): Fraction(1), (1,): Fraction(1)}
+    b = {(0,): Fraction(-1), (1,): Fraction(1)}
+    # (1+x)(x-1) = x^2 - 1
+    assert mul_terms(a, b) == {(2,): Fraction(1), (0,): Fraction(-1)}
 
 
 def test_exact_division_detects_failure():
