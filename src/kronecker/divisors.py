@@ -29,7 +29,7 @@ from math import gcd as int_gcd
 
 from kronecker import primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import factor_mod_p, _modp_divmod, _modp_norm
+from kronecker.factorization import factor_mod_p, _modp_divmod, _modp_mul, _modp_norm, _modp_sub
 from kronecker.numberfield import AlgNum, NumberField, is_integral
 from kronecker.polyring import MultiPoly, UniPoly, resultant
 
@@ -304,7 +304,7 @@ def _divide_in_field_ring(num, den):
     """
     rem = dict(num.coeffs)
     de = max(den.coeffs, key=_grlex)
-    dc = den.coeffs[de]
+    dc_inv = den.coeffs[de].inverse()
     quo = {}
     while rem:
         le = max(rem, key=_grlex)
@@ -312,7 +312,7 @@ def _divide_in_field_ring(num, den):
         qe = tuple(i - j for i, j in zip(le, de))
         if any(k < 0 for k in qe):
             return None
-        qc = lc / dc
+        qc = lc * dc_inv
         quo[qe] = qc
         for e, c in den.coeffs.items():
             key = tuple(i + j for i, j in zip(e, qe))
@@ -447,25 +447,11 @@ def _modp_ext_euclid(a, b, p):
     r0, r1 = _modp_norm(a, p), _modp_norm(b, p)
     s0, s1 = (1,), ()
     t0, t1 = (), (1,)
-    def add(x, y):
-        n = max(len(x), len(y))
-        out = [( (x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)) % p for i in range(n)]
-        return _modp_norm(out, p)
-    def mul(x, y):
-        if not x or not y:
-            return ()
-        out = [0] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i + j] = (out[i + j] + xi * yj) % p
-        return _modp_norm(out, p)
-    def neg(x):
-        return tuple((-c) % p for c in x)
     while len(r1) - 1 > 0:
         q, r = _modp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, add(s0, neg(mul(q, s1)))
-        t0, t1 = t1, add(t0, neg(mul(q, t1)))
+        s0, s1 = s1, _modp_sub(s0, _modp_mul(q, s1, p), p)
+        t0, t1 = t1, _modp_sub(t0, _modp_mul(q, t1, p), p)
     if not r1:
         raise AlgebraError("polynomials are not coprime mod p")
     return s1, t1, r1[0]

@@ -411,6 +411,10 @@ def _modp_mul(a, b, p):
     return _modp_norm(out, p)
 
 
+def _modp_sub(a, b, p):
+    return _modp_norm([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
+
+
 def _modp_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("mod-p division by zero")

@@ -119,10 +119,6 @@ class SplittingAlgebra:
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
 
-def splitting_algebra(f):
-    return SplittingAlgebra(f)
-
-
 def resolvent_total_symmetric(f, u):
     """Characteristic polynomial of multiplication by u . (x_1, ..., x_n).
 
@@ -416,10 +412,7 @@ def _identify_group(f, u, resolvent, alg):
                 values[sigma] = mpmath.fsum(
                     [u[i] * roots[sigma[i]] for i in range(n)], absolute=False
                 )
-            sep = min(
-                abs(values[a] - values[b])
-                for a, b in itertools.combinations(perms, 2)
-            )
+            sep = _min_separation(values.values())
             if sep < eps_reject * 100:
                 continue  # need more precision to trust the separation
             if use_exact_factors:
@@ -437,6 +430,25 @@ def _identify_group(f, u, resolvent, alg):
                 continue
             return GaloisResult(group, resolvent, pattern, u)
     return None
+
+
+def _min_separation(points):
+    """min |a - b| over all pairs of the complex points, by a sweep.
+
+    The points are sorted by real part, and each is compared only with the
+    later ones whose real part lies less than the best distance so far to
+    the right: |a - b| >= |Re a - Re b|, and the rounded differences keep
+    that order, so the skipped pairs cannot lower the minimum and the value
+    equals the all-pairs minimum exactly.
+    """
+    pts = sorted(points, key=lambda z: z.real)
+    best = mpmath.inf
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            if b.real - a.real >= best:
+                break
+            best = min(best, abs(b - a))
+    return best
 
 
 def _match_exact_factor(values, factors, sep, dps):

@@ -1,12 +1,24 @@
 """Monogenic orders Z[theta]: exact algebraic-number arithmetic.
 
 A NumberField is defined by a monic irreducible integer polynomial; elements
-are coordinate vectors in the power basis 1, theta, ..., theta^(n-1).  Norms,
-traces and minimal polynomials come from the multiplication matrix, never
-from numerical embeddings.
+are vectors in the power basis 1, theta, ..., theta^(n-1).  An element is
+carried as one integer vector ``num`` over one positive integer denominator
+``den``, normalised so that gcd(den, *num) = 1, with zero stored as den = 1
+(Cohen, A Course in Computational Algebraic Number Theory, §4.2).  Sums and
+products run on integers: the defining polynomial is monic with integer
+coefficients, so the table that reduces theta^n, theta^(n+1), ... to the
+power basis is integral.  Rational coordinates appear only at the API edge,
+through ``AlgNum.coords``.
+
+Integrality: theta is an algebraic integer, so Z[theta] lies in the ring of
+integers, and an element with den = 1 is integral.  Every other element is
+decided by its characteristic polynomial.  Norms, traces and minimal
+polynomials come from the multiplication matrix, never from numerical
+embeddings.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError
@@ -14,7 +26,35 @@ from kronecker.factorization import is_irreducible
 from kronecker.polyring import MultiPoly, UniPoly, discriminant, parse_poly
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _int_vector(coords):
+    """(num, den): ints or rationals as integers over their least common
+    denominator."""
+    coords = list(coords)
+    if all(type(c) is int for c in coords):
+        return coords, 1
+    coords = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _normal(num, den):
+    """(num, den) with den > 0 reduced to gcd(den, *num) = 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return tuple(num), den
+
+
+def _make(field, num, den):
+    """The element num/den of the field, normalised; num has length n."""
+    x = object.__new__(AlgNum)
+    x.field = field
+    x.num, x.den = _normal(num, den)
+    return x
 
 
 class NumberField:
@@ -42,20 +82,19 @@ class NumberField:
             self.disc = int(d)
             if self.disc == 0:
                 raise DomainError("degenerate defining polynomial (zero discriminant)")
-        # reduction table for theta^k, k = n .. 2n-2
-        n = self.degree
-        rows = []
-        prev = [-c for c in minpoly.coeffs[:-1]]
-        rows.append(list(prev))
-        for _ in range(n - 2):
-            nxt = [_ZERO] + prev[:-1]
+        # integer reduction table: row k is theta^(n+k) in the power basis;
+        # products need k = 0 .. n-2, longer inputs extend it on demand
+        self._power_table = [[-int(c) for c in minpoly.coeffs[:-1]]]
+        self._power_rows(self.degree - 1)
+
+    def _power_rows(self, count):
+        """The first `count` rows of the reduction table."""
+        rows = self._power_table
+        while len(rows) < count:
+            prev = rows[-1]
             top = prev[-1]
-            if top:
-                for i in range(n):
-                    nxt[i] += top * rows[0][i]
-            rows.append(nxt)
-            prev = nxt
-        self._power_table = rows
+            rows.append([b + top * a for a, b in zip(rows[0], [0] + prev[:-1])])
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -69,17 +108,23 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) > self.degree:
-            head, tail = coords[: self.degree], coords[self.degree :]
-            out = list(head)
-            for k, c in enumerate(tail):
+        """Element from power-basis coordinates (ints or rationals); entries
+        past theta^(n-1) are reduced modulo the defining polynomial."""
+        return self._reduce(*_int_vector(coords))
+
+    def _reduce(self, num, den):
+        """The element num/den for an integer vector num of any length."""
+        n = self.degree
+        if len(num) > n:
+            out = num[:n]
+            for c, row in zip(num[n:], self._power_rows(len(num) - n)):
                 if c:
-                    for i, r in enumerate(self._power_table[k]):
+                    for i, r in enumerate(row):
                         out[i] += c * r
-            coords = out
-        coords += [_ZERO] * (self.degree - len(coords))
-        return AlgNum(self, coords)
+            num = out
+        elif len(num) < n:
+            num = num + [0] * (n - len(num))
+        return _make(self, num, den)
 
     def zero(self):
         return self.element([])
@@ -108,53 +153,70 @@ class NumberField:
 
 
 class AlgNum:
-    """Element of a NumberField in the power basis."""
+    """Element num/den of a NumberField in the power basis: num a tuple of
+    n ints, den a positive int, gcd(den, *num) = 1."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coords):
-        self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
-        if len(self.coords) != field.degree:
+        num, den = _int_vector(coords)
+        if len(num) != field.degree:
             raise AlgebraError("coordinate length must equal the field degree")
+        self.field = field
+        self.num, self.den = _normal(num, den)
+
+    @property
+    def coords(self):
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     def _lift(self, other):
         if isinstance(other, AlgNum):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DomainError("elements belong to different fields")
             return other
         return self.field.element([other])
 
     @property
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise AlgebraError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.element([other])
         if not isinstance(other, AlgNum):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
+        )
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     def __add__(self, other):
         other = self._lift(other)
-        return AlgNum(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _make(
+            self.field, [a * sa + b * sb for a, b in zip(self.num, other.num)], da * sa
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.field, [-a for a in self.coords])
+        return _make(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -163,17 +225,21 @@ class AlgNum:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AlgNum(self.field, [a * other for a in self.coords])
+        if isinstance(other, int):
+            return _make(self.field, [a * other for a in self.num], self.den)
+        if isinstance(other, Fraction):
+            return _make(
+                self.field,
+                [a * other.numerator for a in self.num],
+                self.den * other.denominator,
+            )
         other = self._lift(other)
-        n = self.field.degree
-        prod = [_ZERO] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        prod[i + j] += a * b
-        return self.field.element(prod)
+                for j, b in enumerate(other.num, i):
+                    prod[j] += a * b
+        return self.field._reduce(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -213,10 +279,8 @@ class AlgNum:
     def multiplication_matrix(self):
         """Matrix of y -> self*y in the power basis (columns are images)."""
         n = self.field.degree
-        cols = []
-        for j in range(n):
-            img = self * self.field.element([0] * j + [1])
-            cols.append(img.coords)
+        num = list(self.num)
+        cols = [self.field._reduce([0] * j + num, self.den).coords for j in range(n)]
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def charpoly(self):
@@ -241,9 +305,9 @@ class AlgNum:
         """Image under the nontrivial automorphism of a quadratic field."""
         if self.field.degree != 2:
             raise DomainError("conjugation shortcut requires a quadratic field")
-        s = -self.field.minpoly.coeffs[1]  # theta + conj(theta)
-        a, b = self.coords
-        return self.field.element([a + b * s, -b])
+        s = -int(self.field.minpoly.coeffs[1])  # theta + conj(theta)
+        a, b = self.num
+        return _make(self.field, [a + b * s, -b], self.den)
 
     def __str__(self):
         var = "t"
@@ -254,11 +318,6 @@ class AlgNum:
 
     def __repr__(self):
         return f"AlgNum({self})"
-
-
-def nf_new(minpoly):
-    """Construct a number field, verifying monicity and irreducibility."""
-    return NumberField(minpoly)
 
 
 def norm_trace_minpoly(a):
@@ -273,11 +332,12 @@ def norm_trace_minpoly(a):
 def is_integral(a):
     """True when the minimal polynomial is monic with integer coefficients.
 
-    The characteristic polynomial is a power of the minimal polynomial, and
-    both are monic, so it lies in Z[x] exactly when the minimal polynomial
-    does (Gauss's lemma).
+    An element with den = 1 lies in Z[theta], which is integral because
+    theta is.  Otherwise the characteristic polynomial decides: it is a
+    power of the minimal polynomial, and both are monic, so it lies in Z[x]
+    exactly when the minimal polynomial does (Gauss's lemma).
     """
-    return a.charpoly().has_integer_coeffs()
+    return a.den == 1 or a.charpoly().has_integer_coeffs()
 
 
 def discriminant_of_quantities(field, quantities):

@@ -17,28 +17,28 @@ from kronecker.divisors import (
     ramified_primes,
 )
 from kronecker.errors import DomainError
-from kronecker.numberfield import nf_new
+from kronecker.numberfield import NumberField
 from kronecker.polyring import parse_poly
 
 
 @pytest.fixture(scope="module")
 def K5():
-    return nf_new("t^2 + 5")
+    return NumberField("t^2 + 5")
 
 
 @pytest.fixture(scope="module")
 def Ki():
-    return nf_new("t^2 + 1")
+    return NumberField("t^2 + 1")
 
 
 @pytest.fixture(scope="module")
 def K23():
-    return nf_new("t^2 - t + 6")
+    return NumberField("t^2 - t + 6")
 
 
 @pytest.fixture(scope="module")
 def QQ():
-    return nf_new("t")
+    return NumberField("t")
 
 
 def _lin(field, elements, names):
@@ -239,7 +239,7 @@ def test_prime_decomposition_soundness():
     """Norm bookkeeping for every corpus field and unramified p <= 50."""
     from kronecker import primes
 
-    fields = [nf_new("t^2 + 1"), nf_new("t^2 + 5"), nf_new("t^2 - t + 6"), nf_new("t^3 - t - 1")]
+    fields = [NumberField(t) for t in ("t^2 + 1", "t^2 + 5", "t^2 - t + 6", "t^3 - t - 1")]
     for K in fields:
         n = K.degree
         for p in primes.primes_up_to(50):
@@ -257,8 +257,8 @@ def test_prime_decomposition_soundness():
 def test_residue_class_count():
     """The number of residues modulo a prime divisor equals its norm."""
     cases = [
-        (nf_new("t^2 + 1"), [3, 5, 7]),
-        (nf_new("t^2 + 5"), [3, 7]),
+        (NumberField("t^2 + 1"), [3, 5, 7]),
+        (NumberField("t^2 + 5"), [3, 7]),
     ]
     for K, ps in cases:
         for p in ps:
@@ -277,10 +277,10 @@ def test_residue_class_count():
 
 
 def test_ramified_primes_examples():
-    assert ramified_primes(nf_new("t^2 + 1")) == {2}
-    assert ramified_primes(nf_new("t^2 - t + 6")) == {23}
-    assert ramified_primes(nf_new("t^3 - t - 1")) == {23}
-    assert ramified_primes(nf_new("t")) == set()
+    assert ramified_primes(NumberField("t^2 + 1")) == {2}
+    assert ramified_primes(NumberField("t^2 - t + 6")) == {23}
+    assert ramified_primes(NumberField("t^3 - t - 1")) == {23}
+    assert ramified_primes(NumberField("t")) == set()
 
 
 def test_divides_criteria_always_agree(K5, Ki):

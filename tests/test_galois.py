@@ -1,8 +1,10 @@
 """Splitting algebra, resolvents, Galois groups, determinant identity."""
 
 import itertools
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from kronecker import galois
@@ -13,36 +15,35 @@ from kronecker.galois import (
     galois_group,
     genus_disc_identity,
     resolvent_total_symmetric,
-    splitting_algebra,
 )
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly
 
 
 def test_algebra_dimension_and_basis():
-    alg = splitting_algebra(parse_poly("x^3 - 3*x - 1"))
+    alg = SplittingAlgebra(parse_poly("x^3 - 3*x - 1"))
     assert alg.dim == 6
     assert alg.basis == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     with pytest.raises(DomainError):
-        splitting_algebra(UniPoly("x", [1] * 7))
+        SplittingAlgebra(UniPoly("x", [1] * 7))
 
 
 def test_quadratic_reduction():
     # f = x^2 - c1 x + c2 with c1=3, c2=2: x1^2 reduces to 3 x1 - 2
-    alg = splitting_algebra(UniPoly("x", [2, -3, 1]))
+    alg = SplittingAlgebra(UniPoly("x", [2, -3, 1]))
     x1 = MultiPoly.var("x1", alg.variables)
     assert alg.reduce(x1 * x1) == 3 * x1 - 2
 
 
 def test_elementary_symmetric_functions_reproduce_coefficients():
     f = UniPoly("x", [-1, -3, 0, 1])  # x^3 - 3x - 1: e1=0, e2=-3, e3=1
-    alg = splitting_algebra(f)
+    alg = SplittingAlgebra(f)
     assert alg.elementary_symmetric(1) == MultiPoly.const(0, alg.variables)
     assert alg.elementary_symmetric(2) == MultiPoly.const(-3, alg.variables)
     assert alg.elementary_symmetric(3) == MultiPoly.const(1, alg.variables)
 
 
 def test_sum_of_roots_is_constant():
-    alg = splitting_algebra(UniPoly("x", [-1, -3, 0, 1]))
+    alg = SplittingAlgebra(UniPoly("x", [-1, -3, 0, 1]))
     rs = alg.roots()
     total = rs[0] + rs[1] + rs[2]
     assert alg.reduce(total) == MultiPoly.const(0, alg.variables)
@@ -211,3 +212,37 @@ def test_transitive_subgroups_match_all_pairs_closure():
     finally:
         galois._subgroup_cache.clear()
         galois._subgroup_cache.update(saved)
+
+
+def _all_pairs_separation(points):
+    return min(abs(a - b) for a, b in itertools.combinations(points, 2))
+
+
+def test_min_separation_sweep_equals_all_pairs():
+    rng = random.Random(12)
+    with mpmath.workdps(40):
+        for size, reps in ((2, 20), (3, 20), (7, 20), (24, 10), (120, 3)):
+            for _ in range(reps):
+                pts = [
+                    mpmath.mpc(mpmath.mpf(rng.uniform(-5, 5)), mpmath.mpf(rng.uniform(-5, 5)))
+                    for _ in range(size)
+                ]
+                assert galois._min_separation(pts) == _all_pairs_separation(pts)
+        # degenerate sets: one real part shared by all, equal real parts in
+        # pairs, ties between several closest pairs, and coincident values
+        column = [mpmath.mpc(1, rng.randint(-50, 50)) for _ in range(30)]
+        pairs = [mpmath.mpc(k // 2, rng.uniform(-1, 1)) for k in range(40)]
+        grid = [mpmath.mpc(i, j) for i in range(6) for j in range(6)]
+        repeated = grid + [mpmath.mpc(3, 4)]
+        real_line = [mpmath.mpc(rng.randint(-9, 9), 0) for _ in range(30)]
+        for pts in (column, pairs, grid, repeated, real_line, list(reversed(grid))):
+            assert galois._min_separation(pts) == _all_pairs_separation(pts)
+        assert galois._min_separation(repeated) == 0
+        assert galois._min_separation(grid) == 1
+        # the 120 weighted root sums that _identify_group separates
+        roots, _ = galois._numeric_roots(UniPoly("x", [-2, 0, 0, 0, 0, 1]), 40)
+        values = [
+            mpmath.fsum([u * roots[s[i]] for i, u in enumerate(range(5))])
+            for s in itertools.permutations(range(5))
+        ]
+        assert galois._min_separation(values) == _all_pairs_separation(values)
