@@ -17,18 +17,7 @@ from fractions import Fraction
 from kronecker import classgroup, divisors, elimination, factorization, galois, residues
 from kronecker.errors import AlgebraError
 from kronecker.numberfield import NumberField
-from kronecker.polyring import MultiPoly, UniPoly, discriminant, gcd, parse_poly, resultant
-
-
-def _parse_all(texts):
-    """Parse several expressions over a shared first-appearance variable order."""
-    polys = [parse_poly(t) for t in texts]
-    merged = []
-    for p in polys:
-        for v in p.variables:
-            if v not in merged:
-                merged.append(v)
-    return [p.with_variables(merged) for p in polys]
+from kronecker.polyring import UniPoly, discriminant, gcd, parse_poly, parse_polys, resultant
 
 
 def _field(minpoly_text):
@@ -71,13 +60,13 @@ def _cmd_factor(args):
 
 
 def _cmd_gcd(args):
-    a, b = _parse_all([args.p, args.q])
+    a, b = parse_polys([args.p, args.q])
     g = gcd(a, b)
     return _emit(args, {"gcd": str(g)}, [str(g)])
 
 
 def _cmd_resultant(args):
-    a, b = _parse_all([args.p, args.q])
+    a, b = parse_polys([args.p, args.q])
     r = resultant(a, b, args.var)
     return _emit(args, {"resultant": str(r)}, [str(r)])
 
@@ -95,7 +84,7 @@ def _cmd_disc(args):
 
 
 def _decompose(args):
-    gens = _parse_all(args.generators)
+    gens = parse_polys(args.generators)
     config = elimination.EliminationConfig(
         seed=args.seed, max_vars=args.max_vars, max_degree=args.max_degree
     )
@@ -235,7 +224,7 @@ def _load_problem(path):
 
 
 def _point_set(doc):
-    system = _parse_all(doc["system"])
+    system = parse_polys(doc["system"])
     points = [[Fraction(c) for c in pt] for pt in doc["points"]]
     return residues.PointSet(system, points)
 

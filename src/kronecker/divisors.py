@@ -29,15 +29,11 @@ from math import gcd as int_gcd
 
 from kronecker import primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import factor_mod_p, _modp_divmod, _modp_mul, _modp_norm, _modp_sub
+from kronecker.factorization import _modp_ext_euclid, factor_mod_p
 from kronecker.numberfield import AlgNum, NumberField, is_integral
-from kronecker.polyring import MultiPoly, UniPoly, resultant
+from kronecker.polyring import MultiPoly, UniPoly, _grlex_key, divide_terms, power, resultant
 
 _ZERO = Fraction(0)
-
-
-def _grlex(e):
-    return (sum(e), e)
 
 
 class DivisorForm:
@@ -142,7 +138,7 @@ class DivisorForm:
         return all(is_integral(c) for c in self.coeffs.values())
 
     def coefficient_list(self):
-        return [c for _, c in sorted(self.coeffs.items(), key=lambda t: _grlex(t[0]))]
+        return [c for _, c in sorted(self.coeffs.items(), key=lambda t: _grlex_key(t[0]))]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -179,14 +175,7 @@ class DivisorForm:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = DivisorForm.constant(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return power(self, k, DivisorForm.constant(self.field, 1))
 
     def __eq__(self, other):
         if not isinstance(other, DivisorForm):
@@ -222,7 +211,7 @@ class DivisorForm:
     def __str__(self):
         tvar = self.field.minpoly.variable
         chunks = []
-        for e, c in sorted(self.coeffs.items(), key=lambda t: _grlex(t[0]), reverse=True):
+        for e, c in sorted(self.coeffs.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
             mono = "*".join(
                 u if k == 1 else f"{u}^{k}" for u, k in zip(self.unames, e) if k
             )
@@ -296,39 +285,11 @@ def _as_form(field, x):
     return DivisorForm.constant(field, x)
 
 
-def _divide_in_field_ring(num, den):
-    """Exact division of forms with coefficients in the number field.
-
-    Graded-lex single-divisor division in K[u...]; returns the quotient
-    DivisorForm-coefficients dict or None when a remainder survives.
-    """
-    rem = dict(num.coeffs)
-    de = max(den.coeffs, key=_grlex)
-    dc_inv = den.coeffs[de].inverse()
-    quo = {}
-    while rem:
-        le = max(rem, key=_grlex)
-        lc = rem[le]
-        qe = tuple(i - j for i, j in zip(le, de))
-        if any(k < 0 for k in qe):
-            return None
-        qc = lc * dc_inv
-        quo[qe] = qc
-        for e, c in den.coeffs.items():
-            key = tuple(i + j for i, j in zip(e, qe))
-            cur = rem.get(key)
-            val = -(qc * c) if cur is None else cur - qc * c
-            if val.is_zero:
-                rem.pop(key, None)
-            else:
-                rem[key] = val
-    return quo
-
-
 def exact_quotient(G, D):
     """G/D in the field-coefficient polynomial ring, or None."""
     a, b = G._align(D)
-    quo = _divide_in_field_ring(a, b)
+    inv = b.coeffs[max(b.coeffs, key=_grlex_key)].inverse()
+    quo = divide_terms(dict(a.coeffs), b.coeffs, lambda c: c * inv)
     if quo is None:
         return None
     return DivisorForm(a.field, a.unames, quo)
@@ -350,9 +311,8 @@ def divides(D, G):
     nm, content, fm = form_norm_content_fm(D)
     fm_form = DivisorForm.from_multipoly(field, fm, unames=tuple(fm.variables))
     numerator = G * fm_form if fm.total_degree() > 0 or fm.constant_value() != 1 else G
-    a, b = numerator._align(D)
-    quo = _divide_in_field_ring(a, b)
-    crit1 = quo is not None and all(is_integral(c) for c in quo.values())
+    quo = exact_quotient(numerator, D)
+    crit1 = quo is not None and quo.is_integral_form()
 
     crit2 = _char_equation_criterion(D, G, nm, fm_form)
     if crit1 != crit2:
@@ -440,21 +400,6 @@ class PrimeDivisor:
 
     def __repr__(self):
         return f"PrimeDivisor(p={self.p}, f={self.f}, {self.form})"
-
-
-def _modp_ext_euclid(a, b, p):
-    """(A, B, C) with A*a + B*b = C (a nonzero constant) mod p, for coprime a, b."""
-    r0, r1 = _modp_norm(a, p), _modp_norm(b, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while len(r1) - 1 > 0:
-        q, r = _modp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _modp_sub(s0, _modp_mul(q, s1, p), p)
-        t0, t1 = t1, _modp_sub(t0, _modp_mul(q, t1, p), p)
-    if not r1:
-        raise AlgebraError("polynomials are not coprime mod p")
-    return s1, t1, r1[0]
 
 
 def _lift_modp(coeffs, var):

@@ -158,19 +158,16 @@ def eliminate_step(generators, var):
 
 
 def _coefficients_wrt(p, names):
-    """Bucket the terms of p by their exponents in the given variables."""
+    """Coefficients of p viewed as a polynomial in the given variables,
+    ordered by their exponents there, over the remaining variables."""
     idx = [p.variables.index(n) for n in names if n in p.variables]
+    keep = [v for v in p.variables if v not in names]
     buckets = {}
     for e, c in p.terms.items():
         key = tuple(e[i] for i in idx)
         stripped = tuple(x if i not in idx else 0 for i, x in enumerate(e))
         buckets.setdefault(key, {})[stripped] = c
-    out = []
-    for key in sorted(buckets):
-        poly = MultiPoly(p.variables, buckets[key])
-        keep = [v for v in p.variables if v not in names]
-        out.append(poly.with_variables(keep))
-    return out
+    return [MultiPoly(p.variables, buckets[key]).with_variables(keep) for key in sorted(buckets)]
 
 
 def _interreduce(gens):
@@ -189,15 +186,6 @@ def _interreduce(gens):
         out.append(g)
     out.sort(key=lambda g: (g.total_degree(), str(g)))
     return out
-
-
-def _gcd_of_list(gens):
-    acc = MultiPoly.zero(())
-    for g in gens:
-        acc = polyring.gcd(acc, g)
-        if acc.is_constant and not acc.is_zero:
-            break
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def _skeleton(gens, variables):
         if any(g.is_constant for g in current):
             saw_constant = True
             break
-        f = _gcd_of_list(current)
+        f = polyring.gcd_list(current)
         if f.is_zero:
             break
         if f.total_degree() >= 1:
@@ -322,25 +310,10 @@ def _strip_u_content(p, unames):
     """Primitive part of p with respect to the geometric variables: divide
     out any factor involving only the u weights."""
     names = [v for v in p.variables if v not in unames and v != _X] + [_X]
-    cont = MultiPoly.zero(())
-    for c in _coefficients_wrt_keep(p, names):
-        cont = polyring.gcd(cont, c)
-        if cont.is_constant and not cont.is_zero:
-            break
+    cont = polyring.gcd_list(_coefficients_wrt(p, names))
     if cont.is_constant:
         return normalize_primitive(p)
     return normalize_primitive(p.div_exact(cont))
-
-
-def _coefficients_wrt_keep(p, names):
-    """Coefficients of p viewed as a polynomial in the given variables."""
-    idx = [p.variables.index(n) for n in names if n in p.variables]
-    buckets = {}
-    for e, c in p.terms.items():
-        key = tuple(e[i] for i in idx)
-        stripped = tuple(0 if i in idx else x for i, x in enumerate(e))
-        buckets.setdefault(key, {})[stripped] = c
-    return [MultiPoly(p.variables, t) for t in buckets.values()]
 
 
 def _u_skeleton(gens, variables, unames):
@@ -356,7 +329,7 @@ def _u_skeleton(gens, variables, unames):
     for k in range(n - 1, -1, -1):
         if not current or any(g.is_constant for g in current):
             break
-        f_full = _gcd_of_list(current)
+        f_full = polyring.gcd_list(current)
         if f_full.is_zero:
             break
         if f_full.total_degree() >= 1:
@@ -543,15 +516,8 @@ def _verify_parametrization(generators, comp, variables):
     reducing modulo the projection equation."""
     x0 = variables[0]
     for g in generators:
-        sub = g
-        degree_budget = 0
-        for v, num in comp.params.items():
-            degree_budget += g.degree(v)
+        degree_budget = sum(g.degree(v) for v in comp.params)
         # clear denominators: substitute x_i -> phi_i, scaling by phi'^deg
-        work = MultiPoly.zero(())
-        scaled = {}
-        for v, num in comp.params.items():
-            scaled[v] = num
         total = MultiPoly.zero(())
         for e, c in g.terms.items():
             term = MultiPoly.const(c)
@@ -559,8 +525,8 @@ def _verify_parametrization(generators, comp, variables):
             for i, v in enumerate(g.variables):
                 if not e[i]:
                     continue
-                if v in scaled:
-                    term = term * scaled[v] ** e[i]
+                if v in comp.params:
+                    term = term * comp.params[v] ** e[i]
                     used += e[i]
                 else:
                     term = term * MultiPoly.var(v, (v,)) ** e[i]

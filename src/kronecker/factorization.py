@@ -119,7 +119,6 @@ def _extract_integer_roots(f):
     roots p/q of a primitive polynomial appear as (q*x - p)."""
     found = []
     cands = set()
-    a0 = next((c for c in f.coeffs if c), None)
     # rational root theorem on the primitive integer polynomial
     k0 = next(i for i, c in enumerate(f.coeffs) if c)
     for _ in range(k0):
@@ -207,25 +206,6 @@ def _factor_squarefree(f, cap=UNIVARIATE_DEGREE_CAP):
     return factors
 
 
-def _squarefree_split(f):
-    """[(squarefree part, multiplicity)] for a univariate f over Q."""
-    out = []
-    g = f.gcd(f.derivative())
-    s = f.div_exact(g)
-    i = 1
-    while g.degree >= 1:
-        y = s.gcd(g)
-        z = s.div_exact(y)
-        if z.degree >= 1:
-            out.append((z, i))
-        s = y
-        g = g.div_exact(y)
-        i += 1
-    if s.degree >= 1:
-        out.append((s, i))
-    return out
-
-
 def factor_univariate(F, _cap=UNIVARIATE_DEGREE_CAP):
     """Factor a univariate polynomial over Q into irreducibles.
 
@@ -242,9 +222,8 @@ def factor_univariate(F, _cap=UNIVARIATE_DEGREE_CAP):
     if prim.degree == 0:
         return Factorization(unit, [])
     pieces = []
-    for sqf, mult in _squarefree_split(prim):
-        scale, sqf = sqf.content_primitive()
-        unit *= scale**mult
+    for sqf, mult in _sqf_split_multi(prim.to_multipoly(), F.variable):
+        sqf = UniPoly.from_multipoly(sqf, F.variable).content_primitive()[1]
         for g in _factor_squarefree(sqf, _cap):
             pieces.append((g, mult))
     # account for signs/contents produced by the greedy splits
@@ -264,6 +243,7 @@ def factor_univariate(F, _cap=UNIVARIATE_DEGREE_CAP):
 
 
 def _sqf_split_multi(f, name):
+    """[(squarefree part, multiplicity)] of f with respect to one variable."""
     out = []
     g = polyring.gcd(f, f.derivative(name))
     s = f.div_exact(g)
@@ -431,6 +411,21 @@ def _modp_divmod(a, b, p):
             for j, y in enumerate(b):
                 rem[k + j] = (rem[k + j] - c * y) % p
     return _modp_norm(quo, p), _modp_norm(rem, p)
+
+
+def _modp_ext_euclid(a, b, p):
+    """(A, B, C) with A*a + B*b = C (a nonzero constant) mod p, for coprime a, b."""
+    r0, r1 = _modp_norm(a, p), _modp_norm(b, p)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while len(r1) - 1 > 0:
+        q, r = _modp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _modp_sub(s0, _modp_mul(q, s1, p), p)
+        t0, t1 = t1, _modp_sub(t0, _modp_mul(q, t1, p), p)
+    if not r1:
+        raise AlgebraError("polynomials are not coprime mod p")
+    return s1, t1, r1[0]
 
 
 def _modp_monic_candidates(d, p):

@@ -21,7 +21,7 @@ import mpmath
 
 from kronecker import polyring
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import factor_univariate, is_irreducible
+from kronecker.factorization import _modp_ext_euclid, factor_univariate, is_irreducible
 from kronecker.linalg import charpoly
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly, poly_matrix_det
 
@@ -290,7 +290,7 @@ def _squarefree(r):
 
     gcd(r, r') = 1 mod p already implies coprimality over Q, so a few
     mod-p probes settle the common case cheaply; inconclusive probes fall
-    back to rational Euclid.
+    back to the gcd over Q.
     """
     from kronecker import primes
 
@@ -304,20 +304,13 @@ def _squarefree(r):
             if lc % p:
                 a = tuple(int(c) % p for c in r.coeffs)
                 b = tuple(int(c) % p for c in dr.coeffs)
-                if _modp_gcd_is_one(a, b, p):
+                try:
+                    _modp_ext_euclid(a, b, p)
                     return True
+                except AlgebraError:
+                    pass  # a common factor mod p: probe the next prime
             p = primes.next_prime(p)
     return r.gcd(dr).degree == 0
-
-
-def _modp_gcd_is_one(a, b, p):
-    from kronecker.factorization import _modp_divmod, _modp_norm
-
-    r0, r1 = _modp_norm(a, p), _modp_norm(b, p)
-    while r1:
-        _, rem = _modp_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-    return len(r0) == 1
 
 
 def _numeric_roots(f, dps):

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.factorization import is_irreducible
-from kronecker.polyring import MultiPoly, UniPoly, discriminant, parse_poly
+from kronecker.polyring import MultiPoly, UniPoly, discriminant, parse_poly, power
 
 _ZERO = Fraction(0)
 
@@ -182,6 +182,9 @@ class AlgNum:
     def is_zero(self):
         return not any(self.num)
 
+    def __bool__(self):
+        return any(self.num)
+
     def is_rational(self):
         return not any(self.num[1:])
 
@@ -245,33 +248,15 @@ class AlgNum:
 
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+            return power(self.inverse(), -k, self.field.one())
+        return power(self, k, self.field.one())
 
     def inverse(self):
         """Multiplicative inverse via the extended Euclid algorithm."""
         if self.is_zero:
             raise ZeroDivisionError("division by zero in the number field")
-        var = self.field.minpoly.variable
-        a = UniPoly(var, self.coords)
-        b = self.field.minpoly
-        r0, r1 = b, a
-        s0, s1 = UniPoly(var, []), UniPoly(var, [1])
-        while r1.degree > 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r1.is_zero:
-            raise AlgebraError("element shares a factor with the minimal polynomial")
-        inv = s1 * (1 / r1.coeffs[0])
-        return self.field.from_int_poly(inv)
+        minpoly = self.field.minpoly
+        return self.field.from_int_poly(UniPoly(minpoly.variable, self.coords).inverse_mod(minpoly))
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()

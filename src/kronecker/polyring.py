@@ -90,6 +90,71 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def divide_terms(num, den, quotient):
+    """Quotient of the term map num by the nonzero term map den, or None
+    when a remainder survives.
+
+    Graded-lex division by one divisor; num is consumed as the remainder.
+    quotient(c) returns the coefficient q with q * lc(den) == c, or None
+    when the coefficient ring holds none.  The coefficients need *, -,
+    unary - and a truth value, and the ring must have no zero divisors.
+    """
+    de = max(den, key=_grlex_key)
+    quo = {}
+    while num:
+        ne = max(num, key=_grlex_key)
+        qe = tuple(i - j for i, j in zip(ne, de))
+        if qe and min(qe) < 0:
+            return None
+        qc = quotient(num[ne])
+        if qc is None:
+            return None
+        quo[qe] = qc
+        for e, c in den.items():
+            key = tuple(i + j for i, j in zip(e, qe))
+            v = num[key] - qc * c if key in num else -(qc * c)
+            if v:
+                num[key] = v
+            else:
+                del num[key]
+    return quo
+
+
+def _int_quotient(den):
+    """quotient(c) for divide_terms by the integer term map den: c / lc(den)
+    when that is an integer."""
+    lead = den[max(den, key=_grlex_key)]
+
+    def quotient(c):
+        q, r = divmod(c, lead)
+        return None if r else q
+
+    return quotient
+
+
+def power(base, k, one):
+    """base**k by square-and-multiply from the identity one; k >= 0."""
+    if k < 0:
+        raise AlgebraError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def _primitive_ints(coeffs):
+    """(content, ints): the positive rational content of nonzero Fraction
+    coefficients and the coprime integers c / content, in order."""
+    den = int_lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = int_gcd(*nums)
+    return Fraction(g, den), [n // g for n in nums]
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -245,16 +310,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise AlgebraError("negative polynomial power")
-        result = MultiPoly.const(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, MultiPoly.const(1, self.variables))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -365,26 +421,25 @@ class MultiPoly:
     # -- exact division -------------------------------------------------------
 
     def div_exact(self, other):
-        """Quotient q with self == other*q, or None when not divisible."""
+        """Quotient q with self == other*q, or None when not divisible.
+
+        Both sides are split into content and primitive integer part; by
+        Gauss's lemma the primitive parts divide over Q exactly when they
+        divide over Z, and the quotient is scaled back by the contents.
+        """
         a, b = self._align(other)
         if b.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if a.is_zero:
             return MultiPoly.zero(a.variables)
-        be, bc = b.leading_term()
-        rem = dict(a.terms)
-        quo = {}
-        while rem:
-            ae = max(rem, key=_grlex_key)
-            ac = rem[ae]
-            qe = tuple(i - j for i, j in zip(ae, be))
-            if any(k < 0 for k in qe):
-                return None
-            qc = ac / bc
-            quo[qe] = qc
-            shifted = {tuple(i + j for i, j in zip(e, qe)): c for e, c in b.terms.items()}
-            rem = add_scaled_terms(rem, shifted, -qc)
-        return MultiPoly(a.variables, quo)
+        ca, na = _primitive_ints(a.terms.values())
+        cb, nb = _primitive_ints(b.terms.values())
+        den = dict(zip(b.terms, nb))
+        quo = divide_terms(dict(zip(a.terms, na)), den, _int_quotient(den))
+        if quo is None:
+            return None
+        scale = ca / cb
+        return MultiPoly(a.variables, {e: scale * c for e, c in quo.items()})
 
     def divides(self, other):
         return other.div_exact(self) is not None
@@ -543,14 +598,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = UniPoly(self.variable, [1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, UniPoly(self.variable, [1]))
 
     def divmod(self, other):
         """Quotient and remainder over Q."""
@@ -602,11 +650,22 @@ class UniPoly:
         return self * (1 / self.coeffs[-1])
 
     def gcd(self, other):
-        """Monic gcd over Q (plain Euclid)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd over Q."""
+        g = gcd(self.to_multipoly(), other.shift_ring(self.variable).to_multipoly())
+        return UniPoly.from_multipoly(g, self.variable).monic()
+
+    def inverse_mod(self, f):
+        """The inverse of self modulo f over Q, by the extended Euclid
+        algorithm; AlgebraError when the two share a factor."""
+        r0, r1 = f, self % f
+        s0, s1 = UniPoly(f.variable, []), UniPoly(f.variable, [1])
+        while r1.degree > 0:
+            q, r = r0.divmod(r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+        if r1.is_zero:
+            raise AlgebraError("element is not invertible modulo the polynomial")
+        return s1 * (1 / r1.coeffs[0])
 
     def squarefree_part(self):
         if self.degree <= 0:
@@ -618,16 +677,10 @@ class UniPoly:
         """(content, primitive) with integer primitive and positive lc."""
         if self.is_zero:
             return Fraction(0), self
-        den = 1
-        for c in self.coeffs:
-            den = int_lcm(den, c.denominator)
-        num = 0
-        for c in self.coeffs:
-            num = int_gcd(num, c.numerator * (den // c.denominator))
-        scale = Fraction(num, den)
+        scale, ints = _primitive_ints(self.coeffs)
         if self.coeffs[-1] < 0:
-            scale = -scale
-        return scale, self * (1 / scale)
+            return -scale, UniPoly(self.variable, [-c for c in ints])
+        return scale, UniPoly(self.variable, ints)
 
     def shift_ring(self, variable):
         return UniPoly(variable, self.coeffs)
@@ -779,6 +832,15 @@ def parse_poly(text, variables="infer"):
     return p.with_variables(tuple(parser.variables))
 
 
+def parse_polys(texts):
+    """Parse several expressions over one shared first-appearance variable order."""
+    polys = [parse_poly(t) for t in texts]
+    merged = []
+    for p in polys:
+        merged.extend(v for v in p.variables if v not in merged)
+    return [p.with_variables(merged) for p in polys]
+
+
 # ---------------------------------------------------------------------------
 # content, gcd, resultants
 # ---------------------------------------------------------------------------
@@ -795,16 +857,10 @@ def content_primitive(p):
     """
     if p.is_zero:
         return Fraction(0), p
-    den = 1
-    for c in p.terms.values():
-        den = int_lcm(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = int_gcd(num, c.numerator * (den // c.denominator))
-    scale = Fraction(num, den)
+    scale, ints = _primitive_ints(p.terms.values())
     if p.lc() < 0:
-        scale = -scale
-    return scale, p * (1 / scale)
+        scale, ints = -scale, [-c for c in ints]
+    return scale, MultiPoly(p.variables, dict(zip(p.terms, ints)))
 
 
 def normalize_primitive(p):
@@ -812,18 +868,20 @@ def normalize_primitive(p):
     return content_primitive(p)[1]
 
 
-def _coeff_polys(p, name):
-    return list(p.coeffs_in(name).values())
-
-
 def _content_in(p, name):
     """Content of p viewed in (rest)[name]: gcd of its coefficient polys."""
-    cont = MultiPoly.zero(p.variables)
-    for c in _coeff_polys(p, name):
-        cont = gcd(cont, c)
-        if cont.is_constant and not cont.is_zero:
+    return gcd_list(p.coeffs_in(name).values())
+
+
+def gcd_list(polys):
+    """gcd of several polynomials, stopping at the first nonzero constant;
+    the zero polynomial when there are none."""
+    acc = MultiPoly.zero(())
+    for p in polys:
+        acc = gcd(acc, p)
+        if acc.is_constant and not acc.is_zero:
             break
-    return cont
+    return acc
 
 
 def _prem(a, b, name):
@@ -965,23 +1023,7 @@ def _interpolate_last(h, xi):
 def _int_divides(h, f):
     """Whether the primitive integer term map h divides f in Z[x]; by Gauss's
     lemma that is divisibility over Q."""
-    he = max(h, key=_grlex_key)
-    hc = h[he]
-    rem = dict(f)
-    while rem:
-        re = max(rem, key=_grlex_key)
-        qc, r = divmod(rem[re], hc)
-        qe = tuple(i - j for i, j in zip(re, he))
-        if r or min(qe) < 0:
-            return False
-        for e, c in h.items():
-            key = tuple(i + j for i, j in zip(e, qe))
-            v = rem.get(key, 0) - qc * c
-            if v:
-                rem[key] = v
-            else:
-                del rem[key]
-    return True
+    return divide_terms(dict(f), h, _int_quotient(h)) is not None
 
 
 def _gcd_prs(p, q):

@@ -17,6 +17,7 @@ i = m-1.
 from fractions import Fraction
 
 from kronecker.errors import AlgebraError, DomainError
+from kronecker.factorization import _extract_integer_roots
 from kronecker.polyring import MultiPoly, UniPoly, poly_matrix_det
 
 _ZERO = Fraction(0)
@@ -82,11 +83,9 @@ class PointSet:
             per_var[v] = UniPoly.from_multipoly(f, v)
         roots = {}
         for v, f in per_var.items():
-            found = []
             # rational roots only: exhaustiveness is decidable exactly
-            g = f
-            for r in _rational_roots(f):
-                found.append(r)
+            linear, _ = _extract_integer_roots(f.content_primitive()[1])
+            found = [-lin.coeffs[0] / lin.coeffs[1] for lin in linear]
             if len(found) != f.degree:
                 raise DomainError(
                     "system has irrational solutions; the supplied points "
@@ -107,29 +106,6 @@ class PointSet:
         if have != set(grid):
             raise DomainError("point set does not match the solution grid")
         return True
-
-
-def _rational_roots(f):
-    """Rational roots of a UniPoly with multiplicity, by trial on the
-    divisor candidates of the rational root theorem."""
-    from kronecker import primes
-
-    out = []
-    _, f = f.content_primitive()
-    while f.degree >= 1 and not f.coeffs[0]:
-        out.append(Fraction(0))
-        f = f.div_exact(UniPoly(f.variable, [0, 1]))
-    if f.degree >= 1:
-        cands = set()
-        for pn in primes.divisors(int(f.coeffs[0].numerator)):
-            for qd in primes.divisors(int(f.coeffs[-1].numerator)):
-                cands.add(Fraction(pn, qd))
-                cands.add(Fraction(-pn, qd))
-        for r in sorted(cands):
-            while f.degree >= 1 and not f.eval(r):
-                f = f.div_exact(UniPoly(f.variable, [-r.numerator, r.denominator]))
-                out.append(r)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +130,7 @@ def euler_trace(f, i):
     df = f.derivative()
     if f.gcd(df).degree != 0:
         raise DomainError("polynomial is not squarefree: derivative not invertible")
-    inv = _inverse_mod(df, f)
+    inv = df.inverse_mod(f)
     x_i = UniPoly(f.variable, [0] * i + [1]) % f
     g = (x_i * inv) % f
     # trace of multiplication by g: sum over basis monomials
@@ -164,19 +140,6 @@ def euler_trace(f, i):
         img = (g * basis) % f
         total += img[j]
     return total
-
-
-def _inverse_mod(a, f):
-    r0, r1 = f, a % f
-    var = f.variable
-    s0, s1 = UniPoly(var, []), UniPoly(var, [1])
-    while r1.degree > 0:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r1.is_zero:
-        raise AlgebraError("element is not invertible modulo f")
-    return s1 * (1 / r1.coeffs[0])
 
 
 # ---------------------------------------------------------------------------

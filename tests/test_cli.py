@@ -1,0 +1,103 @@
+"""The command-line contract: exact output and exit codes per subcommand.
+
+Every expected stdout below was recorded from the program and is pinned
+byte for byte, in text and in --json mode; an error exits with 1 and one
+``error:`` line on stderr, never a traceback.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from kronecker.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+PINNED = [
+    (["factor", "--", "x^4 - 1"], 0, "(x + 1) * (x - 1) * (x^2 + 1)\n", ""),
+    (["--json", "factor", "--", "x^4 - 1"], 0, '{"factors": [["x + 1", 1], ["x - 1", 1], ["x^2 + 1", 1]], "unit": "1"}\n', ""),
+    (["factor", "--", "x^2*y - 2*x + x*y^2 - 2*y"], 0, "(x + y) * (x*y - 2)\n", ""),
+    (["--json", "factor", "--", "x^2*y - 2*x + x*y^2 - 2*y"], 0, '{"factors": [["x + y", 1], ["x*y - 2", 1]], "unit": "1"}\n', ""),
+    (["factor", "--", "6*x^3 - 6*x"], 0, "6 * (x) * (x + 1) * (x - 1)\n", ""),
+    (["--json", "factor", "--", "6*x^3 - 6*x"], 0, '{"factors": [["x", 1], ["x + 1", 1], ["x - 1", 1]], "unit": "6"}\n', ""),
+    (["factor", "--", "1/2*x^2 - 1/8"], 0, "1/8 * (2*x + 1) * (2*x - 1)\n", ""),
+    (["--json", "factor", "--", "1/2*x^2 - 1/8"], 0, '{"factors": [["2*x + 1", 1], ["2*x - 1", 1]], "unit": "1/8"}\n', ""),
+    (["factor", "--", "(x^2 + y + 1)*(x*y - 2)"], 0, "(x*y - 2) * (x^2 + y + 1)\n", ""),
+    (["--json", "factor", "--", "(x^2 + y + 1)*(x*y - 2)"], 0, '{"factors": [["x*y - 2", 1], ["x^2 + y + 1", 1]], "unit": "1"}\n', ""),
+    (["gcd", "--", "(x + y)*(x - z)", "(x + y)*(y + z)"], 0, "x + y\n", ""),
+    (["--json", "gcd", "--", "(x + y)*(x - z)", "(x + y)*(y + z)"], 0, '{"gcd": "x + y"}\n', ""),
+    (["gcd", "--", "4*x^2 - 4", "6*x - 6"], 0, "x - 1\n", ""),
+    (["--json", "gcd", "--", "4*x^2 - 4", "6*x - 6"], 0, '{"gcd": "x - 1"}\n', ""),
+    (["resultant", "--", "x^2*y + z", "x*z - y", "x"], 0, "y^3 + z^3\n", ""),
+    (["--json", "resultant", "--", "x^2*y + z", "x*z - y", "x"], 0, '{"resultant": "y^3 + z^3"}\n', ""),
+    (["disc", "--", "x^3 + y*x + z", "x"], 0, "-4*y^3 - 27*z^2\n", ""),
+    (["--json", "disc", "--", "x^3 + y*x + z", "x"], 0, '{"discriminant": "-4*y^3 - 27*z^2"}\n', ""),
+    (["disc", "--", "3*x^2 - 5*x + 1"], 0, "13\n", ""),
+    (["--json", "disc", "--", "3*x^2 - 5*x + 1"], 0, '{"discriminant": "13"}\n', ""),
+    (["euler-trace", "--", "x^3 - 2*x + 7", "1"], 0, "0\n", ""),
+    (["--json", "euler-trace", "--", "x^3 - 2*x + 7", "1"], 0, '{"value": "0"}\n', ""),
+    (["euler-trace", "--", "x^3 - 2*x + 7", "2"], 0, "1\n", ""),
+    (["--json", "euler-trace", "--", "x^3 - 2*x + 7", "2"], 0, '{"value": "1"}\n', ""),
+    (["euler-trace", "--", "2*x^4 - x + 3", "5"], 0, "0\n", ""),
+    (["--json", "euler-trace", "--", "2*x^4 - x + 3", "5"], 0, '{"value": "0"}\n', ""),
+    (["galois", "--", "x^4 - 2"], 0, "order 8\nfactor pattern: 8+8+8\n  1 2 3 4\n  1 2 4 3\n  2 1 3 4\n  2 1 4 3\n  3 4 1 2\n  3 4 2 1\n  4 3 1 2\n  4 3 2 1\n", ""),
+    (["--json", "galois", "--", "x^4 - 2"], 0, '{"elements": [[1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [3, 4, 2, 1], [4, 3, 1, 2], [4, 3, 2, 1]], "factor_pattern": [8, 8, 8], "order": 8}\n', ""),
+    (["galois", "--", "x^3 - 3*x + 1"], 0, "order 3\nfactor pattern: 3+3\n  1 2 3\n  2 3 1\n  3 1 2\n", ""),
+    (["--json", "galois", "--", "x^3 - 3*x + 1"], 0, '{"elements": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "factor_pattern": [3, 3], "order": 3}\n', ""),
+    (["prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "7"], 0, "p=7 f=1 local_factor=t + 2 form=(t + 2)*u1 + 7 certified=true\np=7 f=2 local_factor=t^2 + 5*t + 3 form=(t^2 + 5*t + 3)*u2 + 7 certified=true\n", ""),
+    (["--json", "prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "7"], 0, '[{"certified": true, "f": 1, "local_factor": [2, 1], "p": 7}, {"certified": true, "f": 2, "local_factor": [3, 5, 1], "p": 7}]\n', ""),
+    (["prime-decomp", "--minpoly", "t^2 + 5", "--p", "3"], 0, "p=3 f=1 local_factor=t + 1 form=(t + 1)*u1 + 3 certified=true\np=3 f=1 local_factor=t + 2 form=(t + 2)*u2 + 3 certified=true\n", ""),
+    (["--json", "prime-decomp", "--minpoly", "t^2 + 5", "--p", "3"], 0, '[{"certified": true, "f": 1, "local_factor": [1, 1], "p": 3}, {"certified": true, "f": 1, "local_factor": [2, 1], "p": 3}]\n', ""),
+    (["divisor-gcd", "--minpoly", "t^2 + 5", "2", "1 + t"], 0, "gcd divisor: 2*u1 + (t + 1)*u2\nnorm: 4*u1^2 + 4*u1*u2 + 6*u2^2\ncontent: 2\nFm: 2*u1^2 + 2*u1*u2 + 3*u2^2\n", ""),
+    (["--json", "divisor-gcd", "--minpoly", "t^2 + 5", "2", "1 + t"], 0, '{"content": 2, "fm": "2*u1^2 + 2*u1*u2 + 3*u2^2", "form": "2*u1 + (t + 1)*u2", "norm": "4*u1^2 + 4*u1*u2 + 6*u2^2", "unit": false}\n', ""),
+    (["divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "2"], 0, "true\n", ""),
+    (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "2"], 0, '{"divides": true}\n', ""),
+    (["divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, "false\n", ""),
+    (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, '{"divides": false}\n', ""),
+    (["euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
+    (["--json", "euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
+    (["prime-decomp", "--minpoly", "t^2 + 5", "--p", "5"], 1, "", "error: ramified or index case: 5 divides the discriminant, outside the unramified hypothesis\n"),
+    (["--json", "prime-decomp", "--minpoly", "t^2 + 5", "--p", "5"], 1, "", "error: ramified or index case: 5 divides the discriminant, outside the unramified hypothesis\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED, ids=[" ".join(a) for a, *_ in PINNED])
+def test_cli_output_is_pinned(argv, code, out, err, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def _run(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "kronecker.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "--", "x^^2"),
+        ("factor", "--", "(x + 1"),
+        ("factor", "--", "x $ y"),
+        ("factor", "--", "1/0*x"),
+        ("gcd", "--", "x +", "y"),
+        ("resultant", "--", "x*y", "x - )", "x"),
+        ("disc", "--", ""),
+        ("divides", "--minpoly", "t^2 + 5", "--", "2 + * u1", "2"),
+        ("prime-decomp", "--minpoly", "t^", "--p", "3"),
+        ("euler-trace", "--", "x^3 - 2*x + 7", "one"),
+    ],
+)
+def test_malformed_input_exits_without_a_traceback(argv):
+    proc = _run(*argv)
+    assert proc.returncode in (1, 2)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()

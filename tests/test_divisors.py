@@ -16,7 +16,7 @@ from kronecker.divisors import (
     is_unit,
     ramified_primes,
 )
-from kronecker.errors import DomainError
+from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import NumberField
 from kronecker.polyring import parse_poly
 
@@ -294,3 +294,29 @@ def test_divides_criteria_always_agree(K5, Ki):
             K, K.element([rng.randint(-5, 5) or 1])
         )
         divides(D, G)  # internal assertion checks the equivalence
+
+
+def test_negative_form_power_raises(K5):
+    D = _lin(K5, [K5.element([2]), K5.one() + K5.gen()], ("u", "v"))
+    with pytest.raises(AlgebraError):
+        D ** -1
+    assert D ** 2 == D * D
+
+
+@pytest.mark.parametrize(
+    "p, witnesses",
+    [
+        (7, [{1: ("6*t + 4", "1", "4", "t^2 + 3*t + 1")}, {0: ("1", "6*t + 4", "4", "t^2 + 3*t + 1")}]),
+        (
+            59,
+            [
+                {1: ("1", "58", "30", "t + 45"), 2: ("1", "58", "21", "t + 54")},
+                {0: ("58", "1", "30", "t + 45"), 2: ("1", "58", "50", "t + 54")},
+                {0: ("58", "1", "21", "t + 54"), 1: ("58", "1", "50", "t + 54")},
+            ],
+        ),
+    ],
+)
+def test_bezout_witnesses_are_pinned(p, witnesses):
+    decomp = decompose_prime(NumberField("t^3 - t - 1"), p)
+    assert [{j: tuple(map(str, w)) for j, w in d.bezout.items()} for d in decomp] == witnesses

@@ -11,43 +11,33 @@ from kronecker.elimination import (
     total_resolvente,
 )
 from kronecker.errors import DomainError
-from kronecker.polyring import MultiPoly, parse_poly
-
-
-def _gens(*texts):
-    polys = [parse_poly(t) for t in texts]
-    merged = []
-    for p in polys:
-        for v in p.variables:
-            if v not in merged:
-                merged.append(v)
-    return [p.with_variables(merged) for p in polys]
+from kronecker.polyring import MultiPoly, parse_poly, parse_polys
 
 
 # -- eliminate_step ------------------------------------------------------------
 
 
 def test_step_resultant_projection():
-    step = eliminate_step(_gens("x^2+y^2-1", "y"), "y")
+    step = eliminate_step(parse_polys(["x^2+y^2-1", "y"]), "y")
     assert step.eliminated
     assert any(g == parse_poly("x^2 - 1") for g in step.generators)
 
 
 def test_step_single_generator_projects_densely():
-    step = eliminate_step(_gens("x-y"), "y")
+    step = eliminate_step(parse_polys(["x-y"]), "y")
     assert step.eliminated
     assert step.generators == []
 
 
 def test_step_passthrough():
-    gens = _gens("x", "y")
+    gens = parse_polys(["x", "y"])
     step = eliminate_step(gens, "y")
     assert step.eliminated
     assert step.generators == [parse_poly("x")]
 
 
 def test_step_variable_absent():
-    gens = _gens("x^2 - 1")
+    gens = parse_polys(["x^2 - 1"])
     step = eliminate_step(gens, "z")
     assert not step.eliminated
     assert step.generators == gens
@@ -57,7 +47,7 @@ def test_step_variable_absent():
 
 
 def test_two_planes_and_a_line():
-    dec = decompose_variety(_gens("x*z", "y*z"))
+    dec = decompose_variety(parse_polys(["x*z", "y*z"]))
     parts = {p.codim: p for p in dec.parts}
     assert set(parts) == {1, 2}
     assert parts[1].resolvent == parse_poly("z")
@@ -69,7 +59,7 @@ def test_two_planes_and_a_line():
 
 def test_line_recovered_exactly():
     """The codim-2 component of V(xz, yz) satisfies x = 0 and y = 0."""
-    dec = decompose_variety(_gens("x*z", "y*z"))
+    dec = decompose_variety(parse_polys(["x*z", "y*z"]))
     comp = next(c for c in dec.components if c.codim == 2 and not c.immersed)
     # x is the working first coordinate: phi must force it to zero
     assert comp.phi == parse_poly("x")
@@ -79,7 +69,7 @@ def test_line_recovered_exactly():
 
 
 def test_circle_meets_line():
-    dec = decompose_variety(_gens("x^2+y^2-1", "y"))
+    dec = decompose_variety(parse_polys(["x^2+y^2-1", "y"]))
     assert len(dec.parts) == 1
     part = dec.parts[0]
     assert part.codim == 2
@@ -90,7 +80,7 @@ def test_circle_meets_line():
 
 
 def test_unit_ideal_is_empty():
-    dec = decompose_variety(_gens("1"))
+    dec = decompose_variety(parse_polys(["1"]))
     assert dec.empty and not dec.parts
 
 
@@ -101,19 +91,19 @@ def test_zero_ideal_is_whole_space():
 
 
 def test_single_hypersurface():
-    dec = decompose_variety(_gens("x-y"))
+    dec = decompose_variety(parse_polys(["x-y"]))
     assert [p.codim for p in dec.parts] == [1]
     assert dec.parts[0].resolvent == parse_poly("x - y")
     assert total_resolvente(dec) == parse_poly("x - y")
 
 
 def test_total_resolvente_squarefree_part():
-    dec = decompose_variety(_gens("x^2 - 2*x*y + y^2"))
+    dec = decompose_variety(parse_polys(["x^2 - 2*x*y + y^2"]))
     assert dec.parts[0].resolvent == parse_poly("x - y")
 
 
 def test_point_pair_parametrization():
-    dec = decompose_variety(_gens("x^2-2", "y-x"))
+    dec = decompose_variety(parse_polys(["x^2-2", "y-x"]))
     comp = next(c for c in dec.components if not c.immersed)
     assert comp.phi == parse_poly("x^2 - 2")
     assert comp.phi_prime == parse_poly("2*x")
@@ -121,7 +111,7 @@ def test_point_pair_parametrization():
 
 
 def test_parabola_projection_equation():
-    dec = decompose_variety(_gens("y - x^2"))
+    dec = decompose_variety(parse_polys(["y - x^2"]))
     comp = next(c for c in dec.components if not c.immersed)
     # the projection equation is linear in the fiber coordinate y and
     # reproduces y = x^2
@@ -134,7 +124,7 @@ def test_parabola_projection_equation():
 
 
 def test_rational_point():
-    dec = decompose_variety(_gens("x-1", "y-2"))
+    dec = decompose_variety(parse_polys(["x-1", "y-2"]))
     comp = next(c for c in dec.components if not c.immersed)
     assert comp.degree == 1
     assert comp.phi == parse_poly("x - 1")
@@ -143,10 +133,10 @@ def test_rational_point():
 
 def test_bounds_enforced():
     with pytest.raises(DomainError):
-        decompose_variety(_gens("x^5 - y"))
+        decompose_variety(parse_polys(["x^5 - y"]))
     with pytest.raises(DomainError):
         decompose_variety(
-            _gens("a + b"), EliminationConfig(max_vars=1)
+            parse_polys(["a + b"]), EliminationConfig(max_vars=1)
         )
 
 
@@ -159,7 +149,7 @@ def test_projection_soundness_rational_points():
     ``x*z, y*z``), not alphabetical."""
     cases = [
         (
-            _gens("x*z", "y*z"),
+            parse_polys(["x*z", "y*z"]),
             [
                 {"x": 1, "y": 2, "z": 0},
                 {"x": -3, "y": 5, "z": 0},
@@ -167,8 +157,8 @@ def test_projection_soundness_rational_points():
                 {"x": 0, "y": 0, "z": -1},
             ],
         ),
-        (_gens("x^2+y^2-1", "y"), [{"x": 1, "y": 0}, {"x": -1, "y": 0}]),
-        (_gens("x-1", "y-2"), [{"x": 1, "y": 2}]),
+        (parse_polys(["x^2+y^2-1", "y"]), [{"x": 1, "y": 0}, {"x": -1, "y": 0}]),
+        (parse_polys(["x-1", "y-2"]), [{"x": 1, "y": 2}]),
     ]
     for gens, points in cases:
         dec = decompose_variety(gens)
@@ -195,7 +185,7 @@ def test_projection_soundness_rational_points():
 
 
 def test_gcd_extraction_exact():
-    gens = _gens("x*z", "y*z")
+    gens = parse_polys(["x*z", "y*z"])
     from kronecker import polyring
 
     f = polyring.gcd(gens[0], gens[1])
@@ -205,7 +195,7 @@ def test_gcd_extraction_exact():
 
 
 def test_idempotence_on_codim1_part():
-    dec = decompose_variety(_gens("x*z", "y*z"))
+    dec = decompose_variety(parse_polys(["x*z", "y*z"]))
     part1 = next(p for p in dec.parts if p.codim == 1)
     again = decompose_variety(part1.factors)
     assert [p.codim for p in again.parts] == [1]
@@ -213,7 +203,7 @@ def test_idempotence_on_codim1_part():
 
 
 def test_determinism():
-    gens = _gens("x*z", "y*z")
+    gens = parse_polys(["x*z", "y*z"])
     a = decompose_variety(gens, EliminationConfig(seed=5))
     b = decompose_variety(gens, EliminationConfig(seed=5))
     import json
@@ -227,7 +217,7 @@ def test_parametrization_identity():
     from kronecker.elimination import _verify_parametrization
 
     for texts in (("x^2-2", "y-x"), ("x-1", "y-2"), ("x*z", "y*z")):
-        gens = _gens(*texts)
+        gens = parse_polys(texts)
         dec = decompose_variety(gens)
         # the generators below are in input coordinates, which is valid
         # only while the working coordinates are the input ones

@@ -279,3 +279,12 @@ def test_is_integral_reads_den_then_the_charpoly():
     assert golden.den == 2 and is_integral(golden)
     assert not is_integral(K.gen() / 2)
     assert K.element([3, -7]).den == 1 and is_integral(K.element([3, -7]))
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    F = NumberField("x^3 - x - 1")
+    a = F.element([1, Fraction(1, 2), -3])
+    assert a ** -1 == a.inverse()
+    assert a ** -3 * a ** 3 == F.one()
+    assert a ** 0 == F.one()
+    assert bool(a) and not bool(F.zero())

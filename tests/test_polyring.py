@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronecker import polyring
-from kronecker.errors import DomainError, ParseError
+from kronecker.errors import AlgebraError, DomainError, ParseError
 from kronecker.polyring import (
     MultiPoly,
     UniPoly,
@@ -474,3 +474,106 @@ def test_eval_and_derivative():
     p = parse_poly("x^2*y - 3*y")
     assert p.eval_at({"x": 2, "y": 5}) == 5
     assert p.derivative("x") == parse_poly("2*x*y")
+
+
+# -- one implementation per primitive ------------------------------------------
+
+
+def _div_reference(a, b):
+    """Graded-lex division by one divisor over Q on Fraction term maps:
+    the quotient, or None when a remainder survives."""
+    key = lambda e: (sum(e), e)  # noqa: E731
+    be = max(b.terms, key=key)
+    rem, quo = dict(a.terms), {}
+    while rem:
+        re = max(rem, key=key)
+        qe = tuple(i - j for i, j in zip(re, be))
+        if min(qe) < 0:
+            return None
+        qc = rem[re] / b.terms[be]
+        quo[qe] = qc
+        for e, c in b.terms.items():
+            k = tuple(i + j for i, j in zip(e, qe))
+            rem[k] = rem.get(k, 0) - qc * c
+            if not rem[k]:
+                del rem[k]
+    return MultiPoly(a.variables, quo)
+
+
+def test_div_exact_matches_a_fraction_division_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        b = rand_poly(rng, nvars=nvars, max_deg=2, nterms=3, den=4)
+        if b.is_zero:
+            continue
+        q = rand_poly(rng, nvars=nvars, max_deg=2, nterms=4, den=5)
+        for a in (b * q, b * q + rand_poly(rng, nvars=nvars, max_deg=2, nterms=2, den=3)):
+            got = a.div_exact(b)
+            assert got == _div_reference(a, b)
+            if got is not None:
+                assert got * b == a
+
+
+def test_divide_terms_stops_without_a_coefficient_quotient():
+    halves = lambda c: c // 2 if c % 2 == 0 else None  # noqa: E731
+    assert polyring.divide_terms({(2,): 4, (1,): -2, (0,): -6}, {(1,): 2, (0,): 2}, halves) == {(1,): 2, (0,): -3}
+    assert polyring.divide_terms({(2,): 3}, {(1,): 2}, halves) is None
+
+
+def test_negative_powers_raise():
+    with pytest.raises(AlgebraError):
+        parse_poly("x + 1") ** -1
+    with pytest.raises(AlgebraError):
+        UniPoly("x", [1, 1]) ** -1
+    assert UniPoly("x", [1, 1]) ** 0 == 1
+    assert UniPoly("x", [1, 1]) ** 3 == UniPoly("x", [1, 3, 3, 1])
+
+
+def _euclid_reference(a, b):
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_unipoly_gcd_matches_plain_euclid():
+    rng = random.Random(5)
+    for _ in range(100):
+        g = UniPoly("x", [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+        a = g * UniPoly("x", [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+        b = g * UniPoly("x", [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+        assert a.gcd(b) == _euclid_reference(a, b)
+    assert UniPoly("x", []).gcd(UniPoly("x", [])) == UniPoly("x", [])
+
+
+def test_inverse_mod_is_an_inverse():
+    f = UniPoly.from_multipoly(parse_poly("x^3 - 2*x + 7"))
+    for coeffs in ([1, 1], [Fraction(1, 2), 0, 3], [0, 0, 1], [5]):
+        a = UniPoly("x", coeffs)
+        assert (a * a.inverse_mod(f)) % f == UniPoly("x", [1])
+    with pytest.raises(AlgebraError):
+        UniPoly("x", [-1, 1]).inverse_mod(UniPoly("x", [-1, 0, 1]))
+
+
+def test_content_primitive_agrees_across_carriers():
+    rng = random.Random(3)
+    for _ in range(50):
+        u = UniPoly("x", [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))])
+        if u.is_zero:
+            continue
+        c, prim = u.content_primitive()
+        cm, primm = content_primitive(u.to_multipoly())
+        assert (c, prim.to_multipoly()) == (cm, primm)
+        assert prim * c == u and prim.has_integer_coeffs() and prim.lc() > 0
+
+
+def test_gcd_list_stops_at_a_constant():
+    polys = [parse_poly(t) for t in ("x*y + x", "x^2 + x", "x*y - x")]
+    assert polyring.gcd_list(polys) == parse_poly("x")
+    assert polyring.gcd_list([parse_poly("x + 1"), parse_poly("3"), parse_poly("x + 1")]) == 1
+    assert polyring.gcd_list([]).is_zero
+
+
+def test_parse_polys_shares_the_variable_order():
+    a, b = polyring.parse_polys(["y + 1", "x*y"])
+    assert a.variables == b.variables == ("y", "x")
