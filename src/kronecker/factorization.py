@@ -156,7 +156,7 @@ def _search_factor(f, degree):
         r = next(gen)
         v = f.eval(r)
         if v == 0:
-            raise AssertionError("rational roots must be extracted beforehand")
+            raise AlgebraError("rational roots must be extracted beforehand")
         pts.append(r)
         vals.append(int(v))
     lcf = int(f.coeffs[-1])

@@ -1,4 +1,4 @@
-"""The splitting algebra and Galois groups through resolvent factorization.
+"""The splitting algebra and Galois groups read off the total resolvent.
 
 For monic f of degree n the splitting algebra is the dimension-n! quotient
 carrying universal roots x_1, ..., x_n; its basis is the monomial family
@@ -7,11 +7,13 @@ is the cascade f_1 = f, f_(j+1) = f_j / (x - x_j) of universal synthetic
 divisions.  The total resolvent of f at a weight vector u is the
 characteristic polynomial of multiplication by u_1 x_1 + ... + u_n x_n in
 this algebra: a degree-n! polynomial whose roots are the n! permuted
-combinations of the true roots.  The Galois group is read off the
-irreducible factor of the resolvent that vanishes at the distinguished
-combination, with the permutation identification done by adaptive-precision
-evaluation and certified after the fact by exact closure, transitivity and
-factor-product checks.
+combinations of the true roots.  The Galois group is the smallest
+transitive subgroup H of S_n whose orbit polynomial, the product of
+X - (u_1 r_(s(1)) + ... + u_n r_(s(n))) over s in H, has integer
+coefficients and divides the resolvent (Stauduhar 1973).  The roots r_i
+are numeric, at adaptive precision; the answer is certified exactly: the
+coset polynomials of H multiply to the resolvent, H is closed and
+transitive, and |H| times the number of cosets is n!.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import mpmath
 
 from kronecker import polyring
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _modp_ext_euclid, factor_univariate, is_irreducible
+from kronecker.factorization import _modp_ext_euclid, is_irreducible
 from kronecker.linalg import charpoly
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly, poly_matrix_det
 
@@ -316,8 +318,8 @@ def _squarefree(r):
 def _numeric_roots(f, dps):
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(int(c.numerator)) / int(c.denominator) for c in reversed(f.coeffs)]
-        roots, err = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps, error=True)
-        return [mpmath.mpc(r) for r in roots], err
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps)
+        return [mpmath.mpc(r) for r in roots]
 
 
 def _coeffs_from_roots(roots, dps):
@@ -350,9 +352,13 @@ def _try_round_integer(coeffs_high_low, eps_accept, eps_reject):
 def galois_group(f, u=None, max_attempts=20):
     """Galois group of an irreducible polynomial of degree <= 5.
 
-    The resolvent is computed exactly in the splitting algebra; the returned
-    permutation set is certified by exact closure, transitivity, the factor
-    pattern of the resolvent, and order * number_of_factors = n!.
+    The resolvent at u (default (0, 1, ..., n-1)) is computed exactly in the
+    splitting algebra; u is redrawn until the resolvent is squarefree and
+    the group is found.  Every degree takes the same route: the smallest
+    transitive subgroup whose orbit polynomial divides the resolvent, its
+    cosets giving the factor pattern.  The returned permutation set is
+    certified by the exact coset product, closure, transitivity, and
+    order * number_of_factors = n!.
     """
     if isinstance(f, str):
         f = UniPoly.from_multipoly(parse_poly(f))
@@ -366,9 +372,6 @@ def galois_group(f, u=None, max_attempts=20):
     if not is_irreducible(f):
         raise DomainError("polynomial is reducible: the group is defined for irreducible input")
     work = _monic_integer_model(f)
-    if n == 1:
-        triv = UniPoly(f.variable, [-work.coeffs[0], 1])
-        return GaloisResult([(0,)], triv, [1], u or (1,))
     if u is None:
         u = tuple(range(n))
     u = tuple(int(x) for x in u)
@@ -378,7 +381,7 @@ def galois_group(f, u=None, max_attempts=20):
     for attempt in range(max_attempts):
         resolvent = resolvent_total_symmetric(alg, u)
         if _squarefree(resolvent):
-            result = _identify_group(work, u, resolvent, alg)
+            result = _identify_group(work, u, resolvent)
             if result is not None:
                 return result
         # component-dependent increments; i*i breaks the arithmetic
@@ -387,34 +390,24 @@ def galois_group(f, u=None, max_attempts=20):
     raise AlgebraError("could not find a separating, closure-verified weight vector")
 
 
-def _identify_group(f, u, resolvent, alg):
+def _identify_group(f, u, resolvent):
     n = f.degree
     perms = list(itertools.permutations(range(n)))
-    use_exact_factors = resolvent.degree <= 12
-    exact_factors = None
-    if use_exact_factors:
-        fact = factor_univariate(resolvent)
-        exact_factors = [UniPoly.from_multipoly(g, resolvent.variable) for g, _ in fact.factors]
     for dps in (40, 80, 160, 320, 640):
         eps_accept = mpmath.mpf(10) ** (-dps // 2)
         eps_reject = mpmath.mpf(10) ** (-dps // 8)
         with mpmath.workdps(dps):
-            roots, err = _numeric_roots(f, dps)
+            roots = _numeric_roots(f, dps)
             values = {}
             for sigma in perms:
                 values[sigma] = mpmath.fsum(
                     [u[i] * roots[sigma[i]] for i in range(n)], absolute=False
                 )
-            sep = _min_separation(values.values())
-            if sep < eps_reject * 100:
+            if _min_separation(values.values()) < eps_reject * 100:
                 continue  # need more precision to trust the separation
-            if use_exact_factors:
-                group = _match_exact_factor(values, exact_factors, sep, dps)
-                pattern = sorted(g.degree for g in exact_factors)
-            else:
-                group, pattern = _subgroup_search(
-                    values, resolvent, n, eps_accept, eps_reject, dps
-                )
+            group, pattern = _subgroup_search(
+                values, resolvent, n, eps_accept, eps_reject, dps
+            )
             if group is None:
                 continue
             if not _is_group(group, n) or not _is_transitive(group, n):
@@ -442,36 +435,6 @@ def _min_separation(points):
                 break
             best = min(best, abs(b - a))
     return best
-
-
-def _match_exact_factor(values, factors, sep, dps):
-    """Permutations whose value is a root of the factor vanishing at the
-    distinguished combination (the identity permutation's value)."""
-    identity = tuple(range(len(next(iter(values)))))
-    alpha = values[identity]
-    target = None
-    best = None
-    for g in factors:
-        mag = abs(_eval_uni_mpc(g, alpha))
-        if best is None or mag < best:
-            best = mag
-            target = g
-    group = []
-    threshold = (sep / 2) ** target.degree
-    for sigma, v in values.items():
-        mag = abs(_eval_uni_mpc(target, v))
-        if mag < threshold:
-            group.append(sigma)
-    if len(group) != target.degree:
-        return None
-    return group
-
-
-def _eval_uni_mpc(g, z):
-    total = mpmath.mpc(0)
-    for c in reversed(g.coeffs):
-        total = total * z + mpmath.mpf(int(c.numerator)) / int(c.denominator)
-    return total
 
 
 def _subgroup_search(values, resolvent, n, eps_accept, eps_reject, dps):

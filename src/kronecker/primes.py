@@ -1,12 +1,15 @@
 """Integer primality and factorization, desk scale.
 
-Deterministic Miller-Rabin below 3.3e24, Pollard rho with Brent cycling for
+Miller-Rabin to the prime bases 2..41, which is deterministic below
+psi_13 = 3317044064679887385961981 (about 3.3e24), the least composite that
+is a strong probable prime to all of them; above it is_prime is a
+probable-prime test only.  Pollard rho with Floyd cycle finding for
 composites that survive trial division.
 """
 
 from math import gcd, isqrt
 
-_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n):

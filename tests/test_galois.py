@@ -1,7 +1,9 @@
 """Splitting algebra, resolvents, Galois groups, determinant identity."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -91,6 +93,60 @@ def test_quadratic():
     res = galois_group("x^2 - 2")
     assert res.order == 2
     assert res.group == [(1, 2), (2, 1)]
+
+
+def _cubic_disc(a, b, c):
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+
+
+def test_every_small_irreducible_cubic_against_the_discriminant():
+    # oracle: an irreducible cubic has group A3 exactly when its
+    # discriminant is a square; a monic integer cubic is reducible exactly
+    # when it has an integer root, which divides the constant term
+    s3 = sorted(itertools.permutations((1, 2, 3)))
+    a3 = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+    seen = 0
+    for a, b, c in itertools.product(range(-3, 4), repeat=3):
+        if c == 0 or any(
+            r**3 + a * r * r + b * r + c == 0 for d in range(1, abs(c) + 1) for r in (d, -d)
+        ):
+            continue
+        seen += 1
+        res = galois_group(UniPoly("x", [c, b, a, 1]))
+        d = _cubic_disc(a, b, c)
+        square = d >= 0 and math.isqrt(d) ** 2 == d
+        assert res.order == (3 if square else 6), (a, b, c)
+        assert res.group == (a3 if square else s3)
+        assert res.factor_pattern == ([3, 3] if square else [6])
+    assert seen > 100
+
+
+def test_every_small_irreducible_quadratic():
+    for b, c in itertools.product(range(-5, 6), repeat=2):
+        d = b * b - 4 * c
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            continue  # rational roots
+        res = galois_group(UniPoly("x", [c, b, 1]))
+        assert (res.order, res.factor_pattern) == (2, [2]), (b, c)
+        assert res.group == [(1, 2), (2, 1)]
+
+
+def test_cubic_with_a_hard_to_factor_resolvent_is_fast():
+    # about 10 s when the degree-6 resolvent went through the exact
+    # interpolation factor search
+    start = time.perf_counter()
+    res = galois_group("x^3 + 2*x^2 + x - 2")
+    assert time.perf_counter() - start < 1.0
+    assert res.order == 6  # disc = -59
+
+
+def test_linear_resolvent_follows_u():
+    res = galois_group("x - 2", u=(5,))
+    assert res.resolvent == UniPoly("x", [-10, 1])
+    assert (res.order, res.factor_pattern, res.group, res.u) == (1, [1], [(1,)], (5,))
+    default = galois_group("x - 2")
+    assert default.u == (0,)
+    assert default.resolvent == UniPoly("x", [0, 1])
 
 
 def test_quartic_klein_four():
@@ -240,7 +296,7 @@ def test_min_separation_sweep_equals_all_pairs():
         assert galois._min_separation(repeated) == 0
         assert galois._min_separation(grid) == 1
         # the 120 weighted root sums that _identify_group separates
-        roots, _ = galois._numeric_roots(UniPoly("x", [-2, 0, 0, 0, 0, 1]), 40)
+        roots = galois._numeric_roots(UniPoly("x", [-2, 0, 0, 0, 0, 1]), 40)
         values = [
             mpmath.fsum([u * roots[s[i]] for i, u in enumerate(range(5))])
             for s in itertools.permutations(range(5))
