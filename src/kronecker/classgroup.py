@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, isqrt, pi
 
-from kronecker import primes
+from kronecker import modp, primes
 from kronecker.divisors import (
     DivisorForm,
     PrimeDivisor,
@@ -22,7 +22,6 @@ from kronecker.divisors import (
     form_norm_content_fm,
 )
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import factor_mod_p
 from kronecker.numberfield import NumberField
 from kronecker.polyring import UniPoly
 
@@ -109,11 +108,10 @@ def principal_generator(form, d):
 
 def _ramified_divisor(field, p):
     """The divisor above a ramified prime via the double root mod p."""
-    mp = factor_mod_p(field.minpoly, p)
-    (g, mult), = mp.factors
-    if mult != 2 or g.degree != 1:
+    _, factors = modp.factor([int(c) for c in field.minpoly.coeffs], p)
+    if [(len(g), mult) for g, mult in factors] != [(2, 2)]:
         raise AlgebraError(f"ramified prime {p}: expected a double linear factor mod p")
-    lift = UniPoly(field.minpoly.variable, [int(c) for c in g.coeffs])
+    lift = UniPoly(field.minpoly.variable, factors[0][0])
     form = DivisorForm(
         field, ("u1",), {(0,): field.element([p]), (1,): field.from_int_poly(lift)}
     )

@@ -27,9 +27,8 @@ the prime-decomposition algorithm is provably correct.
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from kronecker import primes
+from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _modp_ext_euclid, factor_mod_p
 from kronecker.numberfield import AlgNum, NumberField, is_integral
 from kronecker.polyring import MultiPoly, UniPoly, _grlex_key, divide_terms, power, resultant
 
@@ -423,13 +422,11 @@ def decompose_prime(field, p):
             "outside the unramified hypothesis"
         )
     var = field.minpoly.variable
-    mp = factor_mod_p(field.minpoly, p)
-    if any(m != 1 for _, m in mp.factors):
+    _, factors = modp.factor([int(c) for c in field.minpoly.coeffs], p)
+    if any(m != 1 for _, m in factors):
         raise AlgebraError("unramified prime with repeated factor")
-    lifts = sorted(
-        (_lift_modp([int(c) for c in g.coeffs], var) for g, _ in mp.factors),
-        key=lambda g: (g.degree, tuple(int(c) for c in g.coeffs)),
-    )
+    residues = [g for g, _ in factors]
+    lifts = [_lift_modp(g, var) for g in residues]
     theta = field.gen()
     out = []
     for i, lift in enumerate(lifts):
@@ -444,9 +441,7 @@ def decompose_prime(field, p):
     # pairwise coprimality witnesses
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
-            fi = tuple(int(c) % p for c in lifts[i].coeffs)
-            fj = tuple(int(c) % p for c in lifts[j].coeffs)
-            A, B, C = _modp_ext_euclid(fi, fj, p)
+            A, B, C = modp.ext_euclid(residues[i], residues[j], p)
             a_poly = _lift_modp(A, var)
             b_poly = _lift_modp(B, var)
             combo = a_poly * lifts[i] + b_poly * lifts[j] - C

@@ -19,7 +19,8 @@ Coordinates: the first attempt uses the input coordinates unchanged; when a
 degeneracy is detected (a resolvent not involving the fiber coordinate, a
 mismatch between the plain and u-weighted runs, an unverifiable
 parametrization), the decomposition restarts with a seeded unimodular
-upper-triangular change of coordinates, at most 8 redraws.  The skeleton
+change of coordinates L*U (lower times upper unitriangular), at most 8
+redraws.  The skeleton
 (parts, resolvents, factors) is reported mapped back to the input
 coordinates; parametrizations live in the working coordinates, which the
 result records.
@@ -29,12 +30,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from kronecker import polyring
+from kronecker import linalg, polyring
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.factorization import factor_multivariate
 from kronecker.polyring import MultiPoly, content_primitive, normalize_primitive
 
 MAX_RETRIES = 8
+_ENTRIES = tuple(c for c in range(-9, 10) if c)  # off-diagonal entries of a redrawn L and U
 
 _X = "X_"  # reserved fiber-combination variable for the u-weighted run
 
@@ -194,29 +196,30 @@ def _interreduce(gens):
 
 
 def _draw_matrix(nvars, seed, attempt):
-    """Unimodular upper-triangular integer matrix; attempt 0 is identity."""
+    """Unimodular integer matrix L*U, L lower and U upper unitriangular with
+    nonzero off-diagonal entries; attempt 0 is the identity.  No coordinate
+    stays fixed: the first working coordinate involves every input variable,
+    and the first input variable enters every working coordinate."""
     m = [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
     if attempt == 0:
         return m
-    rng = random.Random((seed, attempt))
+    rng = random.Random(f"{seed}:{attempt}")
+    lower = [row[:] for row in m]
+    upper = [row[:] for row in m]
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            entry = 0
-            while entry == 0:
-                entry = rng.randint(-9, 9)
-            m[i][j] = entry
-    return m
+            lower[j][i] = rng.choice(_ENTRIES)
+            upper[i][j] = rng.choice(_ENTRIES)
+    return linalg.mat_mul(lower, upper)
 
 
-def _invert_unitriangular(m):
+def _integral_inverse(m):
+    """Inverse of a unimodular integer matrix, exactly, as integer rows."""
     n = len(m)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            # subtract m[i][j] * row j of inv from row i
-            for k in range(n):
-                inv[i][k] -= m[i][j] * inv[j][k]
-    return inv
+    cols = [linalg.mat_solve(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    if any(x.denominator != 1 for col in cols for x in col):
+        raise AlgebraError("coordinate change is not unimodular")
+    return [[int(cols[j][i]) for j in range(n)] for i in range(n)]
 
 
 def _apply_matrix(p, matrix, variables):
@@ -395,7 +398,7 @@ def decompose_variety(generators, config=None):
 
 def _decompose_with_matrix(gens, variables, matrix):
     n = len(variables)
-    inverse = _invert_unitriangular(matrix)
+    inverse = _integral_inverse(matrix)
     working = [_apply_matrix(g, inverse, variables) for g in gens]
     unames = tuple(f"u{i}" for i in range(n))
 

@@ -1,28 +1,43 @@
-"""Effective factorization over Q by interpolation search.
+"""Factorization over Q, and modulo a prime.
 
-Univariate polynomials are factored by evaluating at small integers,
-enumerating divisor tuples of the values, and Lagrange-interpolating
-candidate factors: a factor f of F satisfies f(r) | F(r) at every integer r,
-so only finitely many candidates exist.  Multivariate polynomials reduce to
-the univariate case through Kronecker substitution, with factors of the
-image recombined over subsets and verified by inverse substitution and exact
-division.  The method is exponential; it is kept at desk scale on purpose
-(degree cap 12 for the univariate search, 16 image factors for the
-recombination).
+Univariate polynomials over Z are factored by the modular route of
+Zassenhaus (1969), as in von zur Gathen and Gerhard, *Modern Computer
+Algebra*, Alg. 15.19:
+
+1. take the first prime p >= 3 that does not divide the leading
+   coefficient and keeps f squarefree mod p;
+2. split f mod p by distinct- and equal-degree factorization (Cantor and
+   Zassenhaus 1981, in ``kronecker.modp``);
+3. Hensel-lift the factors along a balanced factor tree (Alg. 15.17) to a
+   modulus p^(2^k) above twice the bound B = sqrt(n + 1) 2^n |f|_oo |lc(f)|,
+   which every coefficient of lc(f) times a monic factor obeys;
+4. recombine: for subsets S of the lifted factors, smallest first, the
+   symmetric residue of lc * prod(S) is tested for exact division of
+   lc * f over Z; when every subset fails, what is left is irreducible.
+
+Kronecker's own univariate method, the interpolation search, stays as
+``factor_univariate(F, method="interpolation")``: a factor g of F satisfies
+g(r) | F(r) at every integer r, so candidates come from divisor tuples of
+the values at deg + 1 points and Lagrange interpolation.  It is exponential
+and refuses squarefree cores above degree 12.
+
+Multivariate polynomials reduce to the univariate case through Kronecker
+substitution, with factors of the image recombined over subsets and
+verified by inverse substitution and exact division (at most 16 image
+factors).  Every factorization is checked by multiplying it back out.
 """
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 
-from kronecker import primes
+from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.polyring import MultiPoly, UniPoly, content_primitive, parse_poly
 from kronecker import polyring
 
 UNIVARIATE_DEGREE_CAP = 12
 IMAGE_FACTOR_CAP = 16
-MODP_PRIME_CAP = 997
-MODP_DEGREE_CAP = 8
 
 
 class Factorization:
@@ -185,13 +200,14 @@ def _search_factor(f, degree):
     return None
 
 
-def _factor_squarefree(f, cap=UNIVARIATE_DEGREE_CAP):
-    """Irreducible factors of a primitive squarefree integer polynomial."""
+def _factor_squarefree_interpolation(f):
+    """Irreducible factors of a primitive squarefree integer polynomial, by
+    the interpolation search."""
     factors, f = _extract_integer_roots(f)
     factors = [g.content_primitive()[1] for g in factors]
-    if f.degree >= 1 and f.degree > cap:
+    if f.degree > UNIVARIATE_DEGREE_CAP:
         raise DomainError(
-            f"interpolation factor search is limited to degree {cap}"
+            f"interpolation factor search is limited to degree {UNIVARIATE_DEGREE_CAP}"
         )
     d = 1
     while f.degree >= 2 and d <= f.degree // 2:
@@ -206,14 +222,121 @@ def _factor_squarefree(f, cap=UNIVARIATE_DEGREE_CAP):
     return factors
 
 
-def factor_univariate(F, _cap=UNIVARIATE_DEGREE_CAP):
+def _good_prime(F):
+    """The first prime p >= 3 that does not divide lc(F) and keeps the
+    integer coefficient list F squarefree mod p."""
+    p = 3
+    while True:
+        if F[-1] % p:
+            f = modp.trim(F, p)
+            if len(modp.gcd(f, modp.derivative(f, p), p)) == 1:
+                return p
+        p = primes.next_prime(p)
+
+
+def _hensel_lift(F, factors, p, steps):
+    """Monic lifts mod p^(2^steps) of the monic factors mod p, with
+    F = lc(F) * prod(lifts) mod p^(2^steps), along a balanced factor tree.
+
+    F = lc(F) * prod(factors) mod p, the factors pairwise coprime.  At each
+    node the left product carries lc(F) and the right one is monic: the
+    Hensel step divides by the right one.
+    """
+    if len(factors) == 1:
+        m = p ** (2**steps)
+        return [modp.monic(modp.trim(F, m), m)]
+    k = len(factors) // 2
+    g = [F[-1] % p]
+    for f in factors[:k]:
+        g = modp.mul(g, f, p)
+    h = [1]
+    for f in factors[k:]:
+        h = modp.mul(h, f, p)
+    s, t = modp.bezout(g, h, p)
+    m = p
+    for _ in range(steps):
+        g, h, s, t = modp.hensel_step(F, g, h, s, t, m)
+        m *= m
+    return _hensel_lift(g, factors[:k], p, steps) + _hensel_lift(h, factors[k:], p, steps)
+
+
+def _exact_quotient(a, b):
+    """a / b for integer coefficient lists when the division is exact in
+    Z[x], else None."""
+    den = {(k,): c for k, c in enumerate(b) if c}
+    num = {(k,): c for k, c in enumerate(a) if c}
+    quo = polyring.divide_terms(num, den, polyring._int_quotient(den))
+    if quo is None:
+        return None
+    return [quo.get((k,), 0) for k in range(len(a) - len(b) + 1)]
+
+
+def _primitive(f):
+    """Primitive part of a nonzero integer coefficient list, lc > 0."""
+    ints = polyring._primitive_ints(f)[1]
+    return ints if ints[-1] > 0 else [-c for c in ints]
+
+
+def _recombine(F, lifted, m):
+    """Irreducible factors over Z of the primitive F from its monic factors
+    mod m, by subsets of increasing size (Alg. 15.19, step 8)."""
+    half = m // 2
+    out = []
+    size = 1
+    while 2 * size <= len(lifted):
+        b = F[-1]
+        for subset in itertools.combinations(range(len(lifted)), size):
+            g = [b % m]
+            for i in subset:
+                g = modp.mul(g, lifted[i], m)
+            g = [c - m if c > half else c for c in g]
+            if g[0] and b * F[0] % g[0]:
+                continue  # the constant terms rule the subset out cheaply
+            q = _exact_quotient([b * c for c in F], g)
+            if q is not None:
+                out.append(_primitive(g))
+                F = _primitive(q)
+                lifted = [f for i, f in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(F)
+    return out
+
+
+def _factor_squarefree(f):
+    """Irreducible factors of a primitive squarefree integer polynomial, by
+    Zassenhaus's modular route."""
+    F = [int(c) for c in f.coeffs]
+    if len(F) <= 2:
+        return [f]
+    p = _good_prime(F)
+    factors = modp.factor_squarefree(modp.monic(modp.trim(F, p), p), p)
+    if len(factors) == 1:
+        return [f]
+    n = len(F) - 1
+    bound = (isqrt(n + 1) + 1) * 2**n * max(map(abs, F)) * abs(F[-1])
+    steps = 0
+    while p ** (2**steps) <= 2 * bound:
+        steps += 1
+    lifted = _hensel_lift(F, factors, p, steps)
+    return [UniPoly(f.variable, g) for g in _recombine(F, lifted, p ** (2**steps))]
+
+
+def factor_univariate(F, *, method="zassenhaus"):
     """Factor a univariate polynomial over Q into irreducibles.
 
     Accepts UniPoly or univariate MultiPoly; rational coefficients are fine,
-    the denominator folds into the unit.  The interpolation search refuses
-    squarefree cores above degree 12; the multivariate route passes a larger
-    internal cap, relying on the divisor-tuple budget for safety.
+    the denominator folds into the unit.  ``method="zassenhaus"`` (the
+    default) is the modular route; ``method="interpolation"`` is Kronecker's
+    interpolation search, which refuses squarefree cores above degree 12.
     """
+    if method == "zassenhaus":
+        split = _factor_squarefree
+    elif method == "interpolation":
+        split = _factor_squarefree_interpolation
+    else:
+        raise ValueError(f"unknown factorization method {method!r}")
     if isinstance(F, MultiPoly):
         F = UniPoly.from_multipoly(F)
     if F.is_zero:
@@ -224,9 +347,9 @@ def factor_univariate(F, _cap=UNIVARIATE_DEGREE_CAP):
     pieces = []
     for sqf, mult in _sqf_split_multi(prim.to_multipoly(), F.variable):
         sqf = UniPoly.from_multipoly(sqf, F.variable).content_primitive()[1]
-        for g in _factor_squarefree(sqf, _cap):
+        for g in split(sqf):
             pieces.append((g, mult))
-    # account for signs/contents produced by the greedy splits
+    # account for signs/contents produced by the splits
     rebuilt = UniPoly(F.variable, [1])
     for g, m in pieces:
         rebuilt = rebuilt * g**m
@@ -267,7 +390,7 @@ def _factor_squarefree_multi(f):
     g = 1 + max(f.degree(v) for v in f.used_variables())
     reduced = f.with_variables(sorted(f.used_variables()))
     image, codec = polyring.kronecker_substitute(reduced, g)
-    img_fact = factor_univariate(image, _cap=4 * UNIVARIATE_DEGREE_CAP)
+    img_fact = factor_univariate(image)
     pool = []
     for poly, mult in img_fact.factors:
         pool.extend([UniPoly.from_multipoly(poly, image.variable)] * mult)
@@ -369,127 +492,24 @@ def is_irreducible(F):
 
 
 # ---------------------------------------------------------------------------
-# factorization modulo p by exhaustive trial division
+# factorization modulo p
 # ---------------------------------------------------------------------------
 
 
-def _modp_norm(f, p):
-    out = [int(c) % p for c in f]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _modp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _modp_norm(out, p)
-
-
-def _modp_sub(a, b, p):
-    return _modp_norm([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
-
-
-def _modp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("mod-p division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    if len(rem) - 1 < db:
-        return (), tuple(rem)
-    quo = [0] * (len(rem) - db)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        c = rem[k + db] * inv % p
-        quo[k] = c
-        if c:
-            for j, y in enumerate(b):
-                rem[k + j] = (rem[k + j] - c * y) % p
-    return _modp_norm(quo, p), _modp_norm(rem, p)
-
-
-def _modp_ext_euclid(a, b, p):
-    """(A, B, C) with A*a + B*b = C (a nonzero constant) mod p, for coprime a, b."""
-    r0, r1 = _modp_norm(a, p), _modp_norm(b, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while len(r1) - 1 > 0:
-        q, r = _modp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _modp_sub(s0, _modp_mul(q, s1, p), p)
-        t0, t1 = t1, _modp_sub(t0, _modp_mul(q, t1, p), p)
-    if not r1:
-        raise AlgebraError("polynomials are not coprime mod p")
-    return s1, t1, r1[0]
-
-
-def _modp_monic_candidates(d, p):
-    """All monic degree-d polynomials over Z/p, lexicographic in the
-    coefficient tuple read from the constant term up."""
-    for m in range(p**d):
-        coeffs = []
-        x = m
-        for _ in range(d):
-            coeffs.append(x % p)
-            x //= p
-        yield tuple(coeffs) + (1,)
-
-
 def factor_mod_p(F, p):
-    """Factor F modulo a prime by trial division over Z/p.
-
-    Exhaustive over all monic candidates of degree <= deg/2, so bounded to
-    p <= 997 and deg <= 8.
-    """
+    """Factor F modulo a prime p into monic irreducibles with
+    multiplicities: squarefree split, then distinct- and equal-degree
+    factorization (``kronecker.modp``).  No cap on p or the degree."""
     if isinstance(F, MultiPoly):
         F = UniPoly.from_multipoly(F)
     if not primes.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if p > MODP_PRIME_CAP or F.degree > MODP_DEGREE_CAP:
-        raise DomainError(
-            f"factor_mod_p is bounded to p <= {MODP_PRIME_CAP} and degree <= {MODP_DEGREE_CAP}"
-        )
     if not F.has_integer_coeffs():
         raise DomainError("mod-p factorization needs integer coefficients")
-    if int(F.coeffs[-1]) % p == 0:
+    if not F.coeffs or int(F.coeffs[-1]) % p == 0:
         raise DomainError("leading coefficient vanishes mod p")
-    var = F.variable
-    f = _modp_norm([int(c) for c in F.coeffs], p)
-    # make monic
-    inv = pow(f[-1], -1, p)
-    f = tuple(c * inv % p for c in f)
-    factors = []
-    d = 1
-    while len(f) - 1 >= 2 * d:
-        found = False
-        for cand in _modp_monic_candidates(d, p):
-            quo, rem = _modp_divmod(f, cand, p)
-            if rem:
-                continue
-            mult = 1
-            f = quo
-            while True:
-                quo, rem = _modp_divmod(f, cand, p)
-                if rem:
-                    break
-                f = quo
-                mult += 1
-            factors.append((cand, mult))
-            found = True
-            break
-        if not found:
-            d += 1
-    if len(f) - 1 >= 1:
-        factors.append((f, 1))
-    out = ModPFactorization(
-        p, [(UniPoly(var, c), m) for c, m in factors]
-    )
-    total = sum(g.degree * m for g, m in out.factors)
-    if total != F.degree:
+    _, factors = modp.factor([int(c) for c in F.coeffs], p)
+    out = ModPFactorization(p, [(UniPoly(F.variable, g), k) for g, k in factors])
+    if sum(g.degree * k for g, k in out.factors) != F.degree:
         raise AlgebraError("mod-p factor degrees do not add up to the degree")
     return out

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 import mpmath
 
-from kronecker import polyring
+from kronecker import modp, polyring
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _modp_ext_euclid, is_irreducible
+from kronecker.factorization import is_irreducible
 from kronecker.linalg import charpoly
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly, poly_matrix_det
 
@@ -302,15 +302,11 @@ def _squarefree(r):
     if r.has_integer_coeffs():
         p = 10007
         for _ in range(6):
-            lc = int(r.coeffs[-1])
-            if lc % p:
-                a = tuple(int(c) % p for c in r.coeffs)
-                b = tuple(int(c) % p for c in dr.coeffs)
-                try:
-                    _modp_ext_euclid(a, b, p)
+            if int(r.coeffs[-1]) % p:
+                a = [int(c) for c in r.coeffs]
+                b = [int(c) for c in dr.coeffs]
+                if len(modp.gcd(a, b, p)) == 1:
                     return True
-                except AlgebraError:
-                    pass  # a common factor mod p: probe the next prime
             p = primes.next_prime(p)
     return r.gcd(dr).degree == 0
 

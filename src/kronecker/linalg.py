@@ -76,7 +76,6 @@ def mat_solve(rows, rhs):
     return [m[i][n] for i in range(n)]
 
 
-# No caller in the package; perfbench's tracer wraps it by name (pb_layers.LAYERS).
 def mat_mul(a, b):
     n, mid, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]

@@ -1065,8 +1065,10 @@ def _gcd_prs(p, q):
 
 
 # poly_matrix_det packs only while its slot count is at most this many times
-# the Leibniz bound on the determinant's term count; see its docstring.
+# the Leibniz bound on the determinant's term count, and while one packed
+# entry fits in this many bytes; see its docstring.
 _SLOTS_PER_TERM = 16
+_PACKED_BYTES_CAP = 2**20
 
 
 def poly_matrix_det(rows):
@@ -1099,7 +1101,12 @@ def poly_matrix_det(rows):
     zero digits (a sparse determinant in many variables, such as the
     resultants of elimination.eliminate_step in the U and V weights, where
     S/P is 40-100), and fraction-free Bareiss on the term maps runs
-    instead, every division exact.
+    instead, every division exact.  The same happens when one packed
+    entry would take more than _PACKED_BYTES_CAP bytes (slots times
+    width): P counts colliding monomials separately, so it can overestimate
+    the output by orders of magnitude, and Bareiss on integers of millions
+    of slots costs seconds and hundreds of megabytes where the term maps
+    answer in a fraction of a second.
     """
     n = len(rows)
     if n == 0:
@@ -1124,6 +1131,8 @@ def poly_matrix_det(rows):
     if not bound:
         return MultiPoly.zero(variables)
     width = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8*width - 1) > bound
+    if slots * width > _PACKED_BYTES_CAP:
+        return _poly_matrix_det_terms(m)
     weights = [prod(spans[:v]) for v in range(len(spans))]
     det = linalg.mat_det([[_pack(t, weights, width) for t in row] for row in int_rows])
     half = 1 << (8 * width - 1)

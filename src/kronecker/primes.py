@@ -3,10 +3,13 @@
 Miller-Rabin to the prime bases 2..41, which is deterministic below
 psi_13 = 3317044064679887385961981 (about 3.3e24), the least composite that
 is a strong probable prime to all of them; above it is_prime is a
-probable-prime test only.  Pollard rho with Floyd cycle finding for
-composites that survive trial division.
+probable-prime test only.  Pollard rho with Brent's cycle finding and
+batched gcds (Brent 1980, BIT 20) for composites that survive trial
+division; factorizations are memoized, because callers ask for the same
+discriminant repeatedly.
 """
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 _SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -48,27 +51,46 @@ def primes_up_to(limit):
 
 
 def _rho(n):
+    """A nontrivial factor of the odd composite n."""
     if n % 2 == 0:
         return 2
-    seed = 1
+    batch = 128
+    c = 0
     while True:
-        seed += 1
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def factorint(n):
     """Prime factorization as a dict prime -> exponent; n must be positive."""
     if n <= 0:
         raise ValueError("factorint expects a positive integer")
+    return dict(_factor_items(n))
+
+
+@lru_cache(maxsize=1024)
+def _factor_items(n):
     out = {}
     for p in (2, 3, 5, 7, 11, 13):
         while n % p == 0:
@@ -93,7 +115,7 @@ def factorint(n):
         d = _rho(m)
         stack.append(d)
         stack.append(m // d)
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def divisors(n):

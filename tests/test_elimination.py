@@ -231,3 +231,87 @@ def test_parametrization_identity():
             assert _verify_parametrization(gens, comp, dec.variables)
             # the decomposition only keeps verified components
             assert comp.params or comp.phi.total_degree() >= 1
+
+
+# -- coordinate redraws ----------------------------------------------------------
+
+
+def _at(poly, point):
+    """poly, in input coordinates, evaluated at a point keyed by name."""
+    return poly.eval_at({v: point[v] for v in poly.variables})
+
+
+def test_drawn_matrices_are_unimodular_and_mix_every_coordinate():
+    from kronecker.elimination import _draw_matrix, _integral_inverse
+    from kronecker.linalg import mat_det, mat_mul
+
+    assert _draw_matrix(3, 0, 0) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for seed in (0, 1, 7):
+        for attempt in range(1, 8):
+            for n in (2, 3):
+                m = _draw_matrix(n, seed, attempt)
+                assert m == _draw_matrix(n, seed, attempt)  # deterministic
+                assert mat_det(m) == 1
+                # the first working coordinate involves every input
+                # variable, and the first input variable enters every
+                # working coordinate, so no coordinate stays fixed
+                assert all(m[0]) and all(row[0] for row in m)
+                inverse = _integral_inverse(m)
+                identity = [[int(i == j) for j in range(n)] for i in range(n)]
+                assert mat_mul(m, inverse) == identity == mat_mul(inverse, m)
+
+
+def test_a_plane_and_a_line_after_a_redraw():
+    # attempt 0 finds a codimension-2 resolvent free of the fiber
+    # coordinate, so the decomposition needs a redraw
+    dec = decompose_variety(parse_polys(["y*x", "y*z"]))
+    n = len(dec.variables)
+    assert dec.coordinate_change != [[int(i == j) for j in range(n)] for i in range(n)]
+    parts = {p.codim: p for p in dec.parts}
+    assert set(parts) == {1, 2}
+    assert parts[1].resolvent == parse_poly("y")
+    # the codimension-2 resolvent vanishes on the line x = z = 0 and not on
+    # the whole plane y = 0
+    line = parts[2].resolvent
+    for t in (-2, 0, 3):
+        assert _at(line, {"x": 0, "y": t, "z": 0}) == 0
+    assert _at(line, {"x": 1, "y": 0, "z": 1}) != 0
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [("x-1", "y-2"), ("x*z", "y*z"), ("y*x", "y*z"), ("x^2 + y^2 + z^2 - 1", "x + y + z")],
+)
+def test_components_found_after_a_forced_redraw_verify(monkeypatch, texts):
+    from kronecker import elimination
+    from kronecker.elimination import _apply_matrix, _integral_inverse, _verify_parametrization
+
+    draw = elimination._draw_matrix
+    monkeypatch.setattr(elimination, "_draw_matrix", lambda n, seed, attempt: draw(n, seed, attempt + 1))
+    gens = parse_polys(texts)
+    dec = decompose_variety(gens)
+    n = len(dec.variables)
+    assert dec.coordinate_change != [[int(i == j) for j in range(n)] for i in range(n)]
+    working = [_apply_matrix(g, _integral_inverse(dec.coordinate_change), dec.variables) for g in gens]
+    accepted = [c for c in dec.components if not c.immersed]
+    assert accepted
+    for comp in accepted:
+        assert _verify_parametrization(working, comp, dec.variables)
+    # a codimension-1 part is the gcd of the generators in any coordinates
+    plain = {p.codim: p.resolvent for p in decompose_variety(gens).parts}
+    for p in dec.parts:
+        if p.codim == 1:
+            assert p.resolvent == plain[1]
+
+
+def test_cli_answers_an_input_that_needs_a_redraw():
+    import contextlib
+    import io
+
+    from kronecker.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["eliminate", "--", "y*x", "y*z"])
+    assert rc == 0 and err.getvalue() == ""
+    assert out.getvalue().splitlines()[:2] == ["codim 1: resolvent y", "  factor: y"]

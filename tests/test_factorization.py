@@ -1,19 +1,25 @@
-"""Factorization by interpolation search and Kronecker substitution."""
+"""Factorization over Q (modular route, interpolation search, Kronecker
+substitution) and modulo a prime."""
 
+import contextlib
+import io
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from kronecker.cli import main
 from kronecker.errors import DomainError
 from kronecker.factorization import (
-    _modp_divmod,
     factor,
     factor_mod_p,
     factor_multivariate,
     factor_univariate,
     is_irreducible,
 )
+from kronecker.modp import quo_rem
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly
 
 
@@ -59,9 +65,10 @@ def test_rational_coefficients_fold_into_unit():
 
 
 def test_degree_cap():
-    coeffs = [1] + [0] * 12 + [1]  # x^13 + 1 has an interpolation-search core beyond 12
+    # x^13 - 2 is irreducible: a squarefree core beyond the interpolation
+    # search's degree cap of 12
     with pytest.raises(DomainError):
-        factor_univariate(UniPoly("x", [-2] + [0] * 12 + [1]))
+        factor_univariate(UniPoly("x", [-2] + [0] * 12 + [1]), method="interpolation")
 
 
 def test_zero_rejected():
@@ -111,8 +118,7 @@ def test_expansion_identity_random():
         parse_poly("x^2 - 2"),
     ]
     for _ in range(300):
-        # pairs keep the Kronecker image inside what the divisor-tuple
-        # search can exhaust quickly; triple products can explode
+        # products of three and four factors: test_multivariate_products_of_three_or_four
         parts = rng.sample(seeds, rng.randint(1, 2))
         unit = rng.choice([1, -1, 2, 3])
         prod = MultiPoly.const(unit)
@@ -120,6 +126,28 @@ def test_expansion_identity_random():
             prod = prod * p
         fact = factor(prod)
         assert fact.expand() == prod
+
+
+def test_multivariate_products_of_three_or_four():
+    rng = random.Random(97)
+    seeds = [
+        "x - y", "x + y", "x + 1", "y - 2", "x^2 + y^2", "x*y + 1", "x^2 + x + 1",
+        "x^2 - 2", "y^2 + x - 3", "x*y - 2", "x^2*y + y^2 + 1",
+    ]
+    for _ in range(25):
+        parts = [rng.choice(seeds) for _ in range(rng.randint(3, 4))]
+        prod = MultiPoly.const(rng.choice([1, -2, 3]))
+        for text in parts:
+            prod = prod * parse_poly(text)
+        fact = factor(prod)
+        assert fact.expand() == prod
+        # factors are normalized in the product's variable order, so match
+        # each one to its seed up to sign
+        found = sorted(
+            (next(t for t in seeds if (f - parse_poly(t)).is_zero or (f + parse_poly(t)).is_zero), m)
+            for f, m in fact.factors
+        )
+        assert found == sorted((t, parts.count(t)) for t in set(parts)), parts
 
 
 def test_factor_multiset_union_for_coprime():
@@ -206,7 +234,193 @@ def test_dedekind_compatibility():
                 for h, m in modp.factors:
                     hh = tuple(int(c) for c in h.coeffs)
                     for _ in range(m):
-                        quo, rem = _modp_divmod(work, hh, p)
-                        if rem == () and quo:
+                        quo, rem = quo_rem(work, hh, p)
+                        if not rem and quo:
                             work = quo
                 assert len(work) == 1  # reduced to a constant
+
+
+def _brute_factor_mod_p(coeffs, p):
+    """Monic irreducible factors with multiplicities by exhaustive trial
+    division, with its own division loop: the reference for factor_mod_p."""
+
+    def divide(a, b):  # b monic; (quotient, remainder is zero)
+        a = list(a)
+        quo = [0] * (len(a) - len(b) + 1)
+        for k in reversed(range(len(quo))):
+            c = a[k + len(b) - 1] % p
+            quo[k] = c
+            for j, y in enumerate(b):
+                a[k + j] -= c * y
+        return quo, all(x % p == 0 for x in a)
+
+    inv = pow(coeffs[-1], -1, p)
+    f = [c * inv % p for c in coeffs]
+    out = []
+    d = 1
+    while len(f) - 1 >= 2 * d:
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            mult = 0
+            while len(f) >= len(g):
+                quo, exact = divide(f, g)
+                if not exact:
+                    break
+                f, mult = [c % p for c in quo], mult + 1
+            if mult:
+                out.append((g, mult))
+        d += 1
+    if len(f) > 1:
+        out.append((f, 1))
+    return sorted(out)
+
+
+def test_factor_mod_p_matches_trial_division():
+    rng = random.Random(53)
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(25):
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [rng.randrange(1, p)]
+            got = factor_mod_p(UniPoly("x", coeffs), p)
+            assert sorted(([int(c) for c in g.coeffs], m) for g, m in got.factors) == (
+                _brute_factor_mod_p(coeffs, p)
+            ), (coeffs, p)
+
+
+def test_factor_mod_p_has_no_cap_on_the_prime_or_the_degree():
+    f = UniPoly("x", [-1, -1, 0, 1])  # t^3 - t - 1 splits as 1 + 2 mod 1009
+    out = factor_mod_p(f, 1009)
+    assert [([int(c) for c in g.coeffs], m) for g, m in out.factors] == [
+        ([560, 1], 1),
+        ([809, 449, 1], 1),
+    ]
+    # x^16 - 1 over F_17 splits into the 16 linear factors x - a
+    out = factor_mod_p(UniPoly("x", [-1] + [0] * 15 + [1]), 17)
+    assert [[int(c) for c in g.coeffs] for g, _ in out.factors] == [[a, 1] for a in range(1, 17)]
+
+
+def test_prime_decomposition_answers_beyond_the_old_prime_cap():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "1009"])
+    assert rc == 0
+    assert out.getvalue() == (
+        "p=1009 f=1 local_factor=t + 560 form=(t + 560)*u1 + 1009 certified=true\n"
+        "p=1009 f=2 local_factor=t^2 + 449*t + 809 form=(t^2 + 449*t + 809)*u2 + 1009 certified=true\n"
+    )
+
+
+# -- the modular route over Q -----------------------------------------------------
+
+
+def _eisenstein(rng, max_degree):
+    """A random polynomial irreducible over Q by Eisenstein's criterion at q."""
+    q = rng.choice((2, 3, 5))
+    lc = rng.choice([c for c in (1, 2, 3, 4) if c % q])
+    const = q * rng.choice([c for c in (-2, -1, 1, 2) if c % q])
+    middle = [q * rng.randint(-1, 1) for _ in range(rng.randint(0, max_degree - 1))]
+    return UniPoly("x", [const] + middle + [lc])
+
+
+def test_random_products_split_into_their_known_irreducible_factors():
+    rng = random.Random(43)
+    for _ in range(60):
+        unit = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5]))
+        F = UniPoly("x", [unit])
+        expected = {}
+        for _ in range(rng.randint(1, 4)):
+            g, m = _eisenstein(rng, 8), rng.randint(1, 2)
+            F = F * g**m
+            key = str(g.content_primitive()[1])
+            expected[key] = expected.get(key, 0) + m
+        fact = factor_univariate(F)
+        assert _multiset(fact) == sorted(expected.items()), str(F)
+        assert UniPoly.from_multipoly(fact.expand()) == F
+
+
+def test_random_products_agree_with_the_interpolation_search():
+    rng = random.Random(47)
+    for _ in range(30):
+        while True:
+            parts = [_eisenstein(rng, 8) for _ in range(rng.randint(1, 4))]
+            if sum(g.degree for g in parts) <= 6:  # the search is exponential
+                break
+        F = UniPoly("x", [rng.choice([1, -1, 2])])
+        for g in parts:
+            F = F * g
+        modular = factor_univariate(F)
+        search = factor_univariate(F, method="interpolation")
+        assert _multiset(modular) == _multiset(search), str(F)
+        assert modular.unit == search.unit
+
+
+SWINNERTON_DYER = (
+    "x^4 - 10*x^2 + 1",  # sqrt(2) + sqrt(3)
+    "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576",  # sqrt(2) + sqrt(3) + sqrt(5)
+)
+
+
+@pytest.mark.parametrize("text", SWINNERTON_DYER)
+def test_swinnerton_dyer_polynomials_split_mod_p_but_not_over_q(text):
+    f = UniPoly.from_multipoly(parse_poly(text))
+    # every prime splits them into factors of degree <= 2, so the
+    # recombination must exhaust the subsets to prove irreducibility
+    for p in (3, 5, 7, 11, 13, 101, 1009):
+        assert max(g.degree for g, _ in factor_mod_p(f, p).factors) <= 2
+    assert _multiset(factor_univariate(f)) == [(text, 1)]
+    assert is_irreducible(f)
+    square = factor_univariate(f * f * UniPoly("x", [-2, 0, 1]))
+    assert _multiset(square) == sorted([(text, 2), ("x^2 - 2", 1)])
+
+
+@pytest.mark.parametrize(
+    "text, unit, factors",
+    [
+        ("6*x^5 - 9*x^3 + 12*x^2 - 18", 3, [("x^3 + 2", 1), ("2*x^2 - 3", 1)]),
+        ("7/4*(2*x^2 - 3)*(3*x^3 + x - 5)", Fraction(7, 4), [("2*x^2 - 3", 1), ("3*x^3 + x - 5", 1)]),
+        ("12*(x^2 - 2)^2*(5*x + 3)", 12, [("5*x + 3", 1), ("x^2 - 2", 2)]),
+        ("1/6*x^3 - 1/6*x", Fraction(1, 6), [("x", 1), ("x + 1", 1), ("x - 1", 1)]),
+        ("-(4*x^2 + 1)*(9*x^4 + 2)", -1, [("4*x^2 + 1", 1), ("9*x^4 + 2", 1)]),
+        ("30*x^4 - 10*x^2 - 20", 10, [("x + 1", 1), ("x - 1", 1), ("3*x^2 + 2", 1)]),
+    ],
+)
+def test_non_monic_rational_and_content_inputs(text, unit, factors):
+    F = parse_poly(text)
+    fact = factor_univariate(F)
+    assert fact.unit == unit
+    assert _multiset(fact) == sorted(factors)
+    assert fact.expand() == F
+
+
+def test_the_trivariate_product_answers_quickly():
+    F = parse_poly("(x^2 + y + 1)*(x*y - 2)*(x + y^2 - 3)")
+    t0 = time.perf_counter()
+    fact = factor_multivariate(F)
+    assert time.perf_counter() - t0 < 1.0
+    assert _multiset(fact) == [("x*y - 2", 1), ("x^2 + y + 1", 1), ("y^2 + x - 3", 1)]
+
+
+def test_unknown_method_is_rejected():
+    with pytest.raises(ValueError):
+        factor_univariate(parse_poly("x^2 - 1"), method="kronecker")
+
+
+def test_sympy_factor_list_agrees():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def monic_multiset(pairs):
+        out = []
+        for g, m in pairs:
+            g = sympy.Poly(sympy.sympify(str(g).replace("^", "**")), x)
+            if g.degree() >= 1:
+                out.append((str(g.monic().as_expr()), m))
+        return sorted(out)
+
+    rng = random.Random(59)
+    for _ in range(40):
+        F = UniPoly("x", [rng.choice([1, -2, 3])])
+        for _ in range(rng.randint(1, 4)):
+            F = F * UniPoly("x", [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 4)])
+        fact = factor_univariate(F)
+        unit, pairs = sympy.factor_list(sympy.sympify(str(F).replace("^", "**")), x)
+        assert monic_multiset(fact.factors) == monic_multiset(pairs), str(F)

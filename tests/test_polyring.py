@@ -577,3 +577,27 @@ def test_gcd_list_stops_at_a_constant():
 def test_parse_polys_shares_the_variable_order():
     a, b = polyring.parse_polys(["y + 1", "x*y"])
     assert a.variables == b.variables == ("y", "x")
+
+
+@pytest.mark.parametrize("spans, packed", [((1024, 1024), True), ((17, 61681), False)])
+def test_det_at_the_packed_byte_cap(monkeypatch, spans, packed):
+    # [[x^a, y^b], [y^c, x^d + 1]] has one-byte slots and (1 + a + d) * (1 + b + c)
+    # of them: 2^20 bytes packs, 2^20 + 1 bytes goes to the term maps
+    calls = []
+    reference = polyring._poly_matrix_det_terms
+
+    def counted(rows):
+        calls.append(len(rows))
+        return reference(rows)
+
+    monkeypatch.setattr(polyring, "_poly_matrix_det_terms", counted)
+    monkeypatch.setattr(polyring, "_SLOTS_PER_TERM", 2**40)  # only the byte cap decides
+    names = ("x", "y")
+    x, y = MultiPoly.var("x", names), MultiPoly.var("y", names)
+    a, d = (spans[0] - 1) // 2, spans[0] - 1 - (spans[0] - 1) // 2
+    b, c = (spans[1] - 1) // 2, spans[1] - 1 - (spans[1] - 1) // 2
+    assert spans[0] * spans[1] == 2**20 + (not packed)
+    rows = [[x**a, y**b], [y**c, x**d + 1]]
+    det = poly_matrix_det(rows)
+    assert calls == ([] if packed else [2])
+    assert det == reference(rows) == x ** (a + d) + x**a - y ** (b + c)

@@ -1,5 +1,7 @@
 """Integer primality and factorization against independent references."""
 
+import random
+
 import pytest
 
 from kronecker import primes
@@ -90,3 +92,56 @@ def test_zero_is_rejected():
     for fn in (primes.factorint, primes.divisors, primes.squarefree_part_sign):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def _smallest_factor(n):
+    """Trial division: the least prime factor of n > 1."""
+    if n % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 2
+    return n
+
+
+def test_factorint_matches_trial_division_on_random_semiprimes():
+    # both factors lie beyond factorint's own trial division (10^5), so
+    # every case goes through rho
+    flags = _sieve(400_000)
+    pool = [p for p in range(100_003, 400_000) if flags[p]]
+    rng = random.Random(83)
+    for _ in range(25):
+        n = rng.choice(pool) * rng.choice(pool)
+        p = _smallest_factor(n)
+        q = n // p
+        assert primes.factorint(n) == ({p: 2} if p == q else {p: 1, q: 1})
+
+
+def test_factorint_on_large_known_products():
+    # factors from the strong-pseudoprime bound psi_12 and Mersenne primes
+    cases = [
+        (399165290221, 798330580441),
+        (2**31 - 1, 2**61 - 1),
+        (1000000007, 998244353),
+        (1000000007, 1000000007),
+    ]
+    for p, q in cases:
+        expected = {p: 2} if p == q else {min(p, q): 1, max(p, q): 1}
+        assert primes.factorint(p * q) == expected
+        assert primes.factorint(6 * p * q) == {2: 1, 3: 1, **expected}
+
+
+def test_factorint_results_are_independent_copies():
+    first = primes.factorint(PSI_12)
+    first[2] = 5
+    assert primes.factorint(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_factorint_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(89)
+    for _ in range(60):
+        n = rng.randrange(2, 10**rng.randint(2, 22))
+        assert primes.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}

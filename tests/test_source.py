@@ -27,3 +27,59 @@ def test_no_assert_statements():
             ):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not found, f"assert statements or raised AssertionErrors in the package: {found}"
+
+
+def _convolution_target(node):
+    """A subscript target indexed by the sum of two names, as in out[i + j]."""
+    index = getattr(node, "slice", None)
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(index, ast.BinOp)
+        and isinstance(index.op, ast.Add)
+        and isinstance(index.left, ast.Name)
+        and isinstance(index.right, ast.Name)
+    )
+
+
+def _dense_mod_p_loop(fn):
+    """True when fn writes out[i + j] and reduces modulo a variable: the
+    shape of a dense polynomial product or division mod p."""
+    reduces = any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) and isinstance(n.right, ast.Name)
+        for n in ast.walk(fn)
+    )
+    writes = any(
+        _convolution_target(t)
+        for n in ast.walk(fn)
+        if isinstance(n, (ast.Assign, ast.AugAssign))
+        for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+    )
+    return reduces and writes
+
+
+def test_mod_p_polynomial_arithmetic_lives_in_modp():
+    # one implementation per primitive: dense polynomial arithmetic modulo
+    # an integer is kronecker.modp's alone
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "modp.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                fn.name.startswith("_modp_") or _dense_mod_p_loop(fn)
+            ):
+                found.append(f"{path.relative_to(PACKAGE)}:{fn.lineno} {fn.name}")
+    assert not found, f"mod-p polynomial arithmetic outside kronecker.modp: {found}"
+
+
+def test_the_mod_p_lint_recognises_a_dense_product():
+    source = (
+        "def mul(a, b, p):\n"
+        "    out = [0] * (len(a) + len(b) - 1)\n"
+        "    for i, x in enumerate(a):\n"
+        "        for j, y in enumerate(b):\n"
+        "            out[i + j] = (out[i + j] + x * y) % p\n"
+        "    return out\n"
+    )
+    assert _dense_mod_p_loop(ast.parse(source).body[0])
+    assert not _dense_mod_p_loop(ast.parse(source.replace(" % p", "")).body[0])
