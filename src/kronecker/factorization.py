@@ -14,12 +14,17 @@ Algebra*, Alg. 15.19:
 4. recombine: for subsets S of the lifted factors, smallest first, the
    symmetric residue of lc * prod(S) is tested for exact division of
    lc * f over Z; when every subset fails, what is left is irreducible.
+   The recombination tries at most RECOMBINATION_BUDGET = 2^16 subsets
+   in all, and raises DomainError before it starts a subset size that
+   could exceed it: a Swinnerton-Dyer polynomial of degree 32 (16 factors
+   mod p) is answered, one of degree 64 (32 factors) is refused.
 
 Kronecker's own univariate method, the interpolation search, stays as
-``factor_univariate(F, method="interpolation")``: a factor g of F satisfies
+``_factor_squarefree_interpolation``: a factor g of F satisfies
 g(r) | F(r) at every integer r, so candidates come from divisor tuples of
 the values at deg + 1 points and Lagrange interpolation.  It is exponential
-and refuses squarefree cores above degree 12.
+and refuses squarefree cores above degree 12.  The tests use it as an
+independent check of the modular route.
 
 Multivariate polynomials reduce to the univariate case through Kronecker
 substitution, with factors of the image recombined over subsets and
@@ -29,7 +34,7 @@ factors).  Every factorization is checked by multiplying it back out.
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
@@ -38,6 +43,7 @@ from kronecker import polyring
 
 UNIVARIATE_DEGREE_CAP = 12
 IMAGE_FACTOR_CAP = 16
+RECOMBINATION_BUDGET = 2**16
 
 
 class Factorization:
@@ -283,9 +289,16 @@ def _recombine(F, lifted, m):
     half = m // 2
     out = []
     size = 1
+    tried = 0
     while 2 * size <= len(lifted):
+        if tried + comb(len(lifted), size) > RECOMBINATION_BUDGET:
+            raise DomainError(
+                f"recombination of {len(lifted)} modular factors would try more "
+                f"than {RECOMBINATION_BUDGET} subsets"
+            )
         b = F[-1]
         for subset in itertools.combinations(range(len(lifted)), size):
+            tried += 1
             g = [b % m]
             for i in subset:
                 g = modp.mul(g, lifted[i], m)
@@ -323,20 +336,19 @@ def _factor_squarefree(f):
     return [UniPoly(f.variable, g) for g in _recombine(F, lifted, p ** (2**steps))]
 
 
-def factor_univariate(F, *, method="zassenhaus"):
-    """Factor a univariate polynomial over Q into irreducibles.
+def factor_univariate(F):
+    """Factor a univariate polynomial over Q into irreducibles, by the
+    modular route.
 
     Accepts UniPoly or univariate MultiPoly; rational coefficients are fine,
-    the denominator folds into the unit.  ``method="zassenhaus"`` (the
-    default) is the modular route; ``method="interpolation"`` is Kronecker's
-    interpolation search, which refuses squarefree cores above degree 12.
+    the denominator folds into the unit.
     """
-    if method == "zassenhaus":
-        split = _factor_squarefree
-    elif method == "interpolation":
-        split = _factor_squarefree_interpolation
-    else:
-        raise ValueError(f"unknown factorization method {method!r}")
+    return _factor_univariate_with(F, _factor_squarefree)
+
+
+def _factor_univariate_with(F, split):
+    """factor_univariate with ``split`` factoring each primitive squarefree
+    part; the tests pass ``_factor_squarefree_interpolation`` as an oracle."""
     if isinstance(F, MultiPoly):
         F = UniPoly.from_multipoly(F)
     if F.is_zero:

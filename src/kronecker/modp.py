@@ -29,10 +29,6 @@ import random
 
 from kronecker.errors import AlgebraError
 
-# below this many coefficient products, schoolbook multiplication beats
-# packing both operands into integers
-_PACK_MIN = 400
-
 
 def trim(f, m):
     """f reduced mod m, trailing zeros dropped."""
@@ -61,20 +57,12 @@ def sub(a, b, m):
 def mul(a, b, m):
     if not a or not b:
         return []
-    if len(a) * len(b) < _PACK_MIN:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return trim(out, m)
-    # Kronecker packing: every coefficient of the product is below
-    # min(len) * (m - 1)^2, so each fits one slot of `width` bytes
-    width = (2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()) // 8 + 1
-    pa = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * width, "little")
-    return trim([int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)], m)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return trim(out, m)
 
 
 def quo_rem(a, b, m):
@@ -248,15 +236,6 @@ def factor(f, p):
         raise AlgebraError("the zero polynomial has no factorization")
     out = [(h, k) for g, k in sqf_list(monic(f, p), p) for h in factor_squarefree(g, p)]
     return f[-1], sorted(out, key=lambda hk: (len(hk[0]), hk[0]))
-
-
-def roots(f, p):
-    """The distinct roots of f in F_p, ascending."""
-    f = monic(trim(f, p), p)
-    if len(f) < 2:
-        return []
-    g = gcd(f, sub(powmod([0, 1], p, f, p), [0, 1], p), p)
-    return sorted(-h[0] % p for h in edf(g, 1, p, random.Random(p)))
 
 
 # ---------------------------------------------------------------------------

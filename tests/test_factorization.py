@@ -4,15 +4,19 @@ substitution) and modulo a prime."""
 import contextlib
 import io
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from kronecker import factorization
 from kronecker.cli import main
 from kronecker.errors import DomainError
 from kronecker.factorization import (
+    _factor_squarefree_interpolation,
+    _factor_univariate_with,
     factor,
     factor_mod_p,
     factor_multivariate,
@@ -68,7 +72,7 @@ def test_degree_cap():
     # x^13 - 2 is irreducible: a squarefree core beyond the interpolation
     # search's degree cap of 12
     with pytest.raises(DomainError):
-        factor_univariate(UniPoly("x", [-2] + [0] * 12 + [1]), method="interpolation")
+        _factor_squarefree_interpolation(UniPoly("x", [-2] + [0] * 12 + [1]))
 
 
 def test_zero_rejected():
@@ -348,7 +352,7 @@ def test_random_products_agree_with_the_interpolation_search():
         for g in parts:
             F = F * g
         modular = factor_univariate(F)
-        search = factor_univariate(F, method="interpolation")
+        search = _factor_univariate_with(F, _factor_squarefree_interpolation)
         assert _multiset(modular) == _multiset(search), str(F)
         assert modular.unit == search.unit
 
@@ -399,9 +403,40 @@ def test_the_trivariate_product_answers_quickly():
     assert _multiset(fact) == [("x*y - 2", 1), ("x^2 + y + 1", 1), ("y^2 + x - 3", 1)]
 
 
-def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError):
-        factor_univariate(parse_poly("x^2 - 1"), method="kronecker")
+def _swinnerton_dyer(primes):
+    """Integer coefficients of prod(x - sum(+-sqrt(p))), built one prime at
+    a time as f(x - sqrt(p)) f(x + sqrt(p)) = A^2 - p B^2, where
+    f(x - sqrt(p)) = A(x) + sqrt(p) B(x)."""
+    f = [0, 1]
+    for p in primes:
+        parts = ([0] * len(f), [0] * len(f))
+        for n, c in enumerate(f):
+            for k in range(n + 1):
+                parts[k % 2][n - k] += c * math.comb(n, k) * (-1) ** k * p ** (k // 2)
+        a2, b2 = ([sum(u[i] * u[k - i] for i in range(k + 1) if i < len(u) and k - i < len(u))
+                   for k in range(2 * len(f) - 1)] for u in parts)
+        f = [x - p * y for x, y in zip(a2, b2)]
+        while not f[-1]:
+            f.pop()
+    return f
+
+
+def test_recombination_budget():
+    sd8 = _swinnerton_dyer([2, 3, 5])
+    assert sd8 == [576, 0, -960, 0, 352, 0, -40, 0, 1]
+    # degree 16: 8 quadratic factors mod p, 162 subsets up to size 4
+    sd16 = UniPoly("x", _swinnerton_dyer([2, 3, 5, 7]))
+    assert len(factor_univariate(sd16).factors) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "RECOMBINATION_BUDGET", 100)
+        with pytest.raises(DomainError, match="100 subsets"):
+            factor_univariate(sd16)
+    # degree 64: 32 factors mod p, refused before the subsets of size 5
+    sd64 = UniPoly("x", _swinnerton_dyer([2, 3, 5, 7, 11, 13]))
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="32 modular factors"):
+        factor_univariate(sd64)
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_sympy_factor_list_agrees():
