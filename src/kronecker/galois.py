@@ -4,26 +4,40 @@ For monic f of degree n the splitting algebra is the dimension-n! quotient
 carrying universal roots x_1, ..., x_n; its basis is the monomial family
 x_1^(h_1) * ... * x_(n-1)^(h_(n-1)) with h_k <= n-k, and the reduction data
 is the cascade f_1 = f, f_(j+1) = f_j / (x - x_j) of universal synthetic
-divisions.  The total resolvent of f at a weight vector u is the
-characteristic polynomial of multiplication by u_1 x_1 + ... + u_n x_n in
-this algebra: a degree-n! polynomial whose roots are the n! permuted
-combinations of the true roots.  The Galois group is the smallest
-transitive subgroup H of S_n whose orbit polynomial, the product of
-X - (u_1 r_(s(1)) + ... + u_n r_(s(n))) over s in H, has integer
-coefficients and divides the resolvent (Stauduhar 1973).  The roots r_i
-are numeric, at adaptive precision; the answer is certified exactly: the
-coset polynomials of H multiply to the resolvent, H is closed and
-transitive, and |H| times the number of cosets is n!.
+divisions.  The total resolvent of f at a weight vector u is the norm of
+u_1 x_1 + ... + u_n x_n in this algebra, the characteristic polynomial of
+multiplication by it:
+
+    R(X) = prod over s in S_n of (X - (u_1 r_(s(1)) + ... + u_n r_(s(n)))),
+
+of degree n!, over the roots r_i of f.  Each coefficient of R is an integer
+polynomial in u and the coefficients of f.  So when f is monic, squarefree
+and integral and u is integral, R is read off roots modulo a prime power:
+at the first prime p >= 3 where f splits into distinct linear factors,
+the roots mod p are Hensel-lifted (von zur Gathen and Gerhard, Alg. 15.17)
+to p^(2^s) > 2 max_k C(n!, k) beta^k, where beta = sum |u_i| times an
+integer bound on the roots of f; the product above, taken modulo p^(2^s)
+and lifted to the symmetric range, is then R exactly.  Any other input,
+with repeated roots or rational coefficients or weights, takes the
+characteristic polynomial of the multiplication matrix.
+
+The Galois group is the smallest transitive subgroup H of S_n whose orbit
+polynomial, the product of X - (u_1 r_(s(1)) + ... + u_n r_(s(n))) over s
+in H, has integer coefficients and divides the resolvent (Stauduhar 1973).
+The roots r_i are numeric, at adaptive precision; the answer is certified
+exactly: the coset polynomials of H multiply to the resolvent, H is closed
+and transitive, and |H| times the number of cosets is n!.
 """
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import mpmath
 
-from kronecker import modp, polyring
+from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import is_irreducible
+from kronecker.factorization import _hensel_lift, is_irreducible
 from kronecker.linalg import charpoly
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly, poly_matrix_det
 
@@ -32,18 +46,25 @@ MAX_DEGREE = 5  # splitting dimension 120
 _FACT = [1, 1, 2, 6, 24, 120]
 
 
+def _splittable(f):
+    """f as a UniPoly, checked to have a splitting algebra here: monic, of
+    degree 1 to MAX_DEGREE."""
+    if isinstance(f, MultiPoly):
+        f = UniPoly.from_multipoly(f)
+    if f.degree < 1:
+        raise DomainError("positive degree required")
+    if f.degree > MAX_DEGREE:
+        raise DomainError(f"splitting algebra capped at degree {MAX_DEGREE} (dimension 120)")
+    if not f.is_monic():
+        raise DomainError("splitting algebra requires a monic polynomial")
+    return f
+
+
 class SplittingAlgebra:
     """Q[x_1..x_n]/(symmetric relations of f), dimension n!."""
 
     def __init__(self, f):
-        if isinstance(f, MultiPoly):
-            f = UniPoly.from_multipoly(f)
-        if f.degree < 1:
-            raise DomainError("positive degree required")
-        if f.degree > MAX_DEGREE:
-            raise DomainError(f"splitting algebra capped at degree {MAX_DEGREE} (dimension 120)")
-        if not f.is_monic():
-            raise DomainError("splitting algebra requires a monic polynomial")
+        f = _splittable(f)
         self.f = f
         n = self.n = f.degree
         self.dim = _FACT[n]
@@ -122,20 +143,85 @@ class SplittingAlgebra:
 
 
 def resolvent_total_symmetric(f, u):
-    """Characteristic polynomial of multiplication by u . (x_1, ..., x_n).
+    """The total resolvent of the monic f at the weights u: the degree-n!
+    polynomial whose roots with multiplicity are the values
+    u_1 r_(s(1)) + ... + u_n r_(s(n)) over all permutations s.
 
-    Degree n!; its roots with multiplicity are the values
-    u_1 x_(s(1)) + ... + u_n x_(s(n)) over all permutations s.
+    For squarefree integral f and integral u, it is the product of
+    X - (u_1 a_(s(1)) + ... + u_n a_(s(n))) over lifted roots a_i modulo
+    a prime power above twice every coefficient's bound; otherwise it is
+    the characteristic polynomial of multiplication by u . (x_1, ..., x_n)
+    in the splitting algebra.
     """
-    alg = f if isinstance(f, SplittingAlgebra) else SplittingAlgebra(f)
-    if len(u) != alg.n:
+    f = _splittable(f)
+    if len(u) != f.degree:
         raise DomainError("need one weight per root")
-    rs = alg.roots()
+    u = [Fraction(ui) for ui in u]
+    if f.has_integer_coeffs() and all(ui.denominator == 1 for ui in u) and _squarefree(f):
+        coeffs = _resolvent_from_lifted_roots([int(c) for c in f.coeffs], [int(ui) for ui in u])
+        return UniPoly("x", coeffs)
+    alg = SplittingAlgebra(f)
     ell = MultiPoly.zero(alg.variables)
-    for ui, r in zip(u, rs):
-        ell = ell + r * Fraction(ui)
-    matrix = alg.multiplication_matrix(ell)
-    return UniPoly("x", charpoly(matrix))
+    for ui, r in zip(u, alg.roots()):
+        ell = ell + r * ui
+    return UniPoly("x", charpoly(alg.multiplication_matrix(ell)))
+
+
+def _resolvent_from_lifted_roots(F, u):
+    """Coefficients of the total resolvent of the monic squarefree integer
+    coefficient list F at the integer weights u.
+
+    The coefficient of X^(N-k), N = n!, is up to sign the k-th elementary
+    symmetric function of N values of absolute value at most beta, so its
+    absolute value is at most C(N, k) beta^k.  It is an integer polynomial
+    in the coefficients of F, so once F = prod (x - a_i) modulo m the
+    product over the lifted roots a_i agrees with it modulo m.
+    """
+    n = len(F) - 1
+    size = _FACT[n]
+    beta = sum(map(abs, u)) * _root_bound(F)
+    bound = max(comb(size, k) * beta**k for k in range(size + 1))
+    p = _split_prime(F)
+    k = 1
+    while p**k <= 2 * bound:
+        k += 1
+    m = p**k
+    # lift to p^(2^steps) >= m, then keep the roots modulo m
+    lifted = _hensel_lift(F, [[-a % p, 1] for a in modp.roots(F, p)], p, (k - 1).bit_length())
+    a = [-g[0] % m for g in lifted]
+    values = [sum(ui * a[i] for ui, i in zip(u, s)) for s in itertools.permutations(range(n))]
+    return [c - m if c > m // 2 else c for c in modp.from_roots(values, m)]
+
+
+def _split_prime(F):
+    """The first prime p >= 3 modulo which the monic F is a product of
+    distinct linear factors: x^p = x mod F, so F divides x^p - x, which is
+    squarefree mod p."""
+    p = 3
+    while True:
+        f = modp.trim(F, p)
+        if modp.powmod([0, 1], p, f, p) == modp.rem([0, 1], f, p):
+            return p
+        p = primes.next_prime(p)
+
+
+def _root_bound(F):
+    """An integer bound on |r| for the roots r of the monic F: Fujiwara's
+    2 max_k |a_(n-k)|^(1/k) (1916)."""
+    n = len(F) - 1
+    return 2 * max(_ceil_root(abs(F[n - k]), k) for k in range(1, n + 1))
+
+
+def _ceil_root(a, k):
+    """The least integer r >= 0 with r^k >= a, for a >= 0 and k >= 1."""
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +380,6 @@ def _squarefree(r):
     mod-p probes settle the common case cheaply; inconclusive probes fall
     back to the gcd over Q.
     """
-    from kronecker import primes
-
     dr = r.derivative()
     if dr.is_zero:
         return r.degree <= 0
@@ -348,9 +432,9 @@ def _try_round_integer(coeffs_high_low, eps_accept, eps_reject):
 def galois_group(f, u=None, max_attempts=20):
     """Galois group of an irreducible polynomial of degree <= 5.
 
-    The resolvent at u (default (0, 1, ..., n-1)) is computed exactly in the
-    splitting algebra; u is redrawn until the resolvent is squarefree and
-    the group is found.  Every degree takes the same route: the smallest
+    The resolvent at u (default (0, 1, ..., n-1)) is computed exactly from
+    Hensel-lifted roots of the monic integer model; u is redrawn until the
+    resolvent is squarefree and the group is found.  Every degree takes the same route: the smallest
     transitive subgroup whose orbit polynomial divides the resolvent, its
     cosets giving the factor pattern.  The returned permutation set is
     certified by the exact coset product, closure, transitivity, and
@@ -373,9 +457,8 @@ def galois_group(f, u=None, max_attempts=20):
     u = tuple(int(x) for x in u)
     if len(u) != n:
         raise DomainError("need one weight per root")
-    alg = SplittingAlgebra(work)
     for attempt in range(max_attempts):
-        resolvent = resolvent_total_symmetric(alg, u)
+        resolvent = resolvent_total_symmetric(work, u)
         if _squarefree(resolvent):
             result = _identify_group(work, u, resolvent)
             if result is not None:

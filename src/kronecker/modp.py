@@ -19,6 +19,7 @@ Algebra*, 3rd ed.):
   a + a^2 + ... + a^(2^(d-1)) replaces the power (Alg. 14.8).  The random
   choices come from a generator seeded with p, so every result is
   deterministic.
+- the roots in F_p: EDF at degree 1 on gcd(f, x^p - x).
 
 hensel_step is one quadratic Hensel step (Alg. 15.10): it lifts
 f = g*h mod m, with h monic and s*g + t*h = 1 mod m, to the same relations
@@ -106,6 +107,14 @@ def powmod(f, e, g, m):
         e >>= 1
         if e:
             base = rem(mul(base, base, m), g, m)
+    return out
+
+
+def from_roots(values, m):
+    """prod (x - v) over the values, mod m."""
+    out = [1]
+    for v in values:
+        out = [(a - v * b) % m for a, b in zip([0] + out, out + [0])]
     return out
 
 
@@ -217,6 +226,16 @@ def edf(f, d, p, rng):
             g = gcd(b, f, p)
         if 1 < len(g) < len(f):
             return edf(g, d, p, rng) + edf(quo_rem(f, g, p)[0], d, p, rng)
+
+
+def roots(f, p):
+    """The distinct roots in F_p of f, which is nonzero mod p, sorted: EDF at
+    degree 1 splits gcd(f, x^p - x), the product of the x - a with f(a) = 0."""
+    f = monic(trim(f, p), p)
+    if not f:
+        raise AlgebraError("the zero polynomial vanishes everywhere")
+    g = gcd(f, sub(powmod([0, 1], p, f, p), [0, 1], p), p)
+    return sorted(-h[0] % p for h in edf(g, 1, p, random.Random(p)))
 
 
 def factor_squarefree(f, p):

@@ -46,6 +46,12 @@ PINNED = [
     (["--json", "galois", "--", "x^4 - 2"], 0, '{"elements": [[1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [3, 4, 2, 1], [4, 3, 1, 2], [4, 3, 2, 1]], "factor_pattern": [8, 8, 8], "order": 8}\n', ""),
     (["galois", "--", "x^3 - 3*x + 1"], 0, "order 3\nfactor pattern: 3+3\n  1 2 3\n  2 3 1\n  3 1 2\n", ""),
     (["--json", "galois", "--", "x^3 - 3*x + 1"], 0, '{"elements": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "factor_pattern": [3, 3], "order": 3}\n', ""),
+    (["resolvent", "--", "x^3 - 3*x - 1"], 0, "x^6 - 18*x^4 + 81*x^2 - 81\n", ""),
+    (["--json", "resolvent", "--", "x^3 - 3*x - 1"], 0, '{"resolvent": "x^6 - 18*x^4 + 81*x^2 - 81", "u": [0, 1, 2]}\n', ""),
+    (["resolvent", "--", "x^2 - 2*x + 1"], 0, "x^2 - 2*x + 1\n", ""),
+    (["--json", "resolvent", "--", "x^2 - 2*x + 1"], 0, '{"resolvent": "x^2 - 2*x + 1", "u": [0, 1]}\n', ""),
+    (["resolvent", "--", "x^2 + 1/2"], 0, "x^2 + 1/2\n", ""),
+    (["--json", "resolvent", "--", "x^2 + 1/2"], 0, '{"resolvent": "x^2 + 1/2", "u": [0, 1]}\n', ""),
     (["prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "7"], 0, "p=7 f=1 local_factor=t + 2 form=(t + 2)*u1 + 7 certified=true\np=7 f=2 local_factor=t^2 + 5*t + 3 form=(t^2 + 5*t + 3)*u2 + 7 certified=true\n", ""),
     (["--json", "prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "7"], 0, '[{"certified": true, "f": 1, "local_factor": [2, 1], "p": 7}, {"certified": true, "f": 2, "local_factor": [3, 5, 1], "p": 7}]\n', ""),
     (["prime-decomp", "--minpoly", "t^2 + 5", "--p", "3"], 0, "p=3 f=1 local_factor=t + 1 form=(t + 1)*u1 + 3 certified=true\np=3 f=1 local_factor=t + 2 form=(t + 2)*u2 + 3 certified=true\n", ""),
@@ -58,6 +64,8 @@ PINNED = [
     (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, '{"divides": false}\n', ""),
     (["euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
     (["--json", "euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
+    (["resolvent", "--", "2*x^2 + 1"], 1, "", "error: splitting algebra requires a monic polynomial\n"),
+    (["--json", "resolvent", "--", "2*x^2 + 1"], 1, "", "error: splitting algebra requires a monic polynomial\n"),
     (["prime-decomp", "--minpoly", "t^2 + 5", "--p", "5"], 1, "", "error: ramified or index case: 5 divides the discriminant, outside the unramified hypothesis\n"),
     (["--json", "prime-decomp", "--minpoly", "t^2 + 5", "--p", "5"], 1, "", "error: ramified or index case: 5 divides the discriminant, outside the unramified hypothesis\n"),
 ]

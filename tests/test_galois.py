@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from kronecker import galois
+from kronecker import galois, linalg
 from kronecker.errors import DomainError
 from kronecker.galois import (
     GaloisResult,
@@ -73,6 +73,73 @@ def test_resolvent_roots_are_weighted_root_sums():
     # f = (x-1)(x-2): roots 1, 2; u = (1, 2): values 1+4=5 and 2+2=4
     r = resolvent_total_symmetric(UniPoly("x", [2, -3, 1]), (1, 2))
     assert r == UniPoly("x", [20, -9, 1])  # (X-5)(X-4)
+
+
+def _charpoly_resolvent(f, u):
+    """The norm of u . (x_1, ..., x_n) in the splitting algebra of f."""
+    alg = SplittingAlgebra(f)
+    ell = MultiPoly.zero(alg.variables)
+    for ui, r in zip(u, alg.roots()):
+        ell = ell + r * Fraction(ui)
+    return UniPoly("x", linalg.charpoly(alg.multiplication_matrix(ell)))
+
+
+def _lifted_roots_sample():
+    """(coefficients low to high, weights) for monic squarefree integer f of
+    degree 1-5, irreducible and reducible, and a seeded random part."""
+    rng = random.Random(97)
+    sample = [
+        ([-2, 1], (5,)),
+        ([0, 1], (-3,)),
+        ([2, -3, 1], (1, 1)),  # (x - 1)(x - 2): (X - 3)^2
+        ([2, -3, 1], (0, -4)),
+        ([-1, -3, 0, 1], (0, 1, 2)),
+        ([0, -1, 0, 1], (2, 2, -1)),  # x^3 - x
+        ([-1, 0, 0, 0, 1], (0, -1, 1, 1)),  # x^4 - 1
+        ([1, 0, 0, 0, 1], (3, 0, 0, -3)),
+        # coefficients near 10^6, where the bound sets the precision
+        ([999979, -1000000, 999983, 1], (3, -2, 0)),
+        ([-1000003, 0, 0, 999999, 1], (1, 0, -1, 2)),
+        ([-2, 0, 0, 0, 0, 1], (0, 1, 2, 3, 4)),
+        ([0, -1, 0, 0, 0, 1], (1, -1, 0, 2, 2)),  # x^5 - x
+        ([-5, 2, 0, 1, 0, 1], (1, 1, 0, 0, -2)),
+    ]
+    while len(sample) < 25:
+        n = rng.randint(1, 4)
+        coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
+        if galois._squarefree(UniPoly("x", coeffs)):
+            sample.append((coeffs, tuple(rng.randint(-3, 3) for _ in range(n))))
+    return sample
+
+
+def test_resolvent_from_lifted_roots_equals_the_charpoly(monkeypatch):
+    def no_charpoly(matrix):
+        raise AssertionError("took the splitting-algebra charpoly")
+
+    # the oracle calls linalg.charpoly, the route under test galois.charpoly
+    monkeypatch.setattr(galois, "charpoly", no_charpoly)
+    for coeffs, u in _lifted_roots_sample():
+        f = UniPoly("x", coeffs)
+        assert resolvent_total_symmetric(f, u) == _charpoly_resolvent(f, u), (coeffs, u)
+        roots = galois._numeric_roots(f, 30)
+        assert max(abs(r) for r in roots) <= galois._root_bound(coeffs)
+
+
+def test_inputs_outside_the_lifted_route_keep_the_charpoly():
+    # repeated roots, rational coefficients and rational weights
+    for f, u, expected in (
+        (UniPoly("x", [1, -2, 1]), (1, 2), UniPoly("x", [9, -6, 1])),
+        (UniPoly("x", [Fraction(1, 2), 0, 1]), (0, 1), UniPoly("x", [Fraction(1, 2), 0, 1])),
+        (UniPoly("x", [2, -3, 1]), (Fraction(1, 2), 0), UniPoly("x", [Fraction(1, 2), Fraction(-3, 2), 1])),
+    ):
+        assert resolvent_total_symmetric(f, u) == expected
+
+
+def test_ceil_root():
+    for k in range(1, 6):
+        for a in list(range(200)) + [10**20, 10**20 + 1, 3**50]:
+            r = galois._ceil_root(a, k)
+            assert r**k >= a and (r == 0 or (r - 1) ** k < a), (a, k)
 
 
 def test_cubic_cyclic():

@@ -30,6 +30,35 @@ def test_products_agree_with_evaluation():
             assert modp.mul(a, [], m) == []
 
 
+def test_product_of_linear_factors_agrees_with_evaluation():
+    rng = random.Random(83)
+    for m in (1009, 7**5, 2**127 - 1):
+        for size in (0, 1, 2, 7, 30):
+            values = [rng.randrange(-2 * m, 2 * m) for _ in range(size)]
+            f = modp.from_roots(values, m)
+            assert len(f) == size + 1 and f[-1] == 1
+            for x in range(size + 2):
+                expected = 1
+                for v in values:
+                    expected = expected * (x - v) % m
+                assert _value(f, x, m) == expected
+
+
+def test_roots_agree_with_evaluation():
+    rng = random.Random(89)
+    for p in (3, 5, 7, 101):
+        for _ in range(40):
+            f = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)]
+            assert modp.roots(f, p) == [a for a in range(p) if _value(f, a, p) == 0]
+    # degree 1, where x^p - x reduces to 0 modulo f; repeated roots count once
+    assert modp.roots([-2, 1], 7) == [2]
+    assert modp.roots([0, 1], 7) == [0]
+    assert modp.roots(modp.mul([1, 1], [1, 1], 5), 5) == [4]
+    assert modp.roots(modp.from_roots(range(11), 11), 11) == list(range(11))
+    with pytest.raises(AlgebraError):
+        modp.roots([7, 14], 7)
+
+
 def test_division_identity_modulo_a_prime_power():
     rng = random.Random(67)
     m = 7**5
