@@ -286,7 +286,6 @@ def _primitive(f):
 def _recombine(F, lifted, m):
     """Irreducible factors over Z of the primitive F from its monic factors
     mod m, by subsets of increasing size (Alg. 15.19, step 8)."""
-    half = m // 2
     out = []
     size = 1
     tried = 0
@@ -302,7 +301,7 @@ def _recombine(F, lifted, m):
             g = [b % m]
             for i in subset:
                 g = modp.mul(g, lifted[i], m)
-            g = [c - m if c > half else c for c in g]
+            g = modp.symmetric(g, m)
             if g[0] and b * F[0] % g[0]:
                 continue  # the constant terms rule the subset out cheaply
             q = _exact_quotient([b * c for c in F], g)

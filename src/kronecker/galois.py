@@ -8,40 +8,51 @@ divisions.  The total resolvent of f at a weight vector u is the norm of
 u_1 x_1 + ... + u_n x_n in this algebra, the characteristic polynomial of
 multiplication by it:
 
-    R(X) = prod over s in S_n of (X - (u_1 r_(s(1)) + ... + u_n r_(s(n)))),
+    R(X) = prod over s in S_n of (X - v_s),  v_s = u_1 r_(s(1)) + ... + u_n r_(s(n)),
 
 of degree n!, over the roots r_i of f.  Each coefficient of R is an integer
 polynomial in u and the coefficients of f.  So when f is monic, squarefree
 and integral and u is integral, R is read off roots modulo a prime power:
-at the first prime p >= 3 where f splits into distinct linear factors,
-the roots mod p are Hensel-lifted (von zur Gathen and Gerhard, Alg. 15.17)
-to p^(2^s) > 2 max_k C(n!, k) beta^k, where beta = sum |u_i| times an
-integer bound on the roots of f; the product above, taken modulo p^(2^s)
-and lifted to the symmetric range, is then R exactly.  Any other input,
-with repeated roots or rational coefficients or weights, takes the
-characteristic polynomial of the multiplication matrix.
+at a prime p >= 3 where f splits into distinct linear factors, the roots
+mod p are Hensel-lifted (von zur Gathen and Gerhard, Alg. 15.17) to p-adic
+roots a_i modulo m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i|
+times an integer bound on the roots of f.  Every v_s then has absolute
+value at most beta, so the coefficient of X^(N-k) in a product of N of the
+factors X - v_s is at most C(N, k) beta^k, and the product of all n!
+factors, taken modulo m and lifted to the symmetric range, is R exactly.
+Any other input, with repeated roots or rational coefficients or weights,
+takes the characteristic polynomial of the multiplication matrix.
 
-The Galois group is the smallest transitive subgroup H of S_n whose orbit
-polynomial, the product of X - (u_1 r_(s(1)) + ... + u_n r_(s(n))) over s
-in H, has integer coefficients and divides the resolvent (Stauduhar 1973).
-The roots r_i are numeric, at adaptive precision; the answer is certified
-exactly: the coset polynomials of H multiply to the resolvent, H is closed
-and transitive, and |H| times the number of cosets is n!.
+The Galois group is found on the same p-adic roots (Stauduhar 1973; Geissler
+and Kluners 2000).  The roots of the monic integer model of f are numbered
+by their residues mod p in increasing order, at a split prime p where the
+n! sums v_s are distinct mod p; a permutation s sends root i to root s(i),
+and GaloisResult records p.  The group G is the first transitive subgroup
+H of S_n, in (order, elements) order, whose orbit polynomial g_H, the
+symmetric lift mod m of the product of X - v_s over s in H, divides R
+exactly over Z.  This is a proof.  R mod p is a product of distinct linear
+factors, so an integer factor of R that reduces to g_H is the p-adic
+product over H itself.  G permutes the roots of that factor; v_e, for the
+identity e, is one of them and t in G sends it to v_t, so t lies in H, and
+G lies in H.  G passes the test too: its orbit polynomial is integral, with
+coefficients within the bounds C(|G|, k) beta^k, so its symmetric lift mod
+m is itself.  So the first H accepted is G.  The answer is then certified:
+the coset polynomials of H multiply to R, H is closed and transitive, and
+|H| times the number of cosets is n!.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb
 
-import mpmath
-
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _hensel_lift, is_irreducible
+from kronecker.factorization import _exact_quotient, _hensel_lift, is_irreducible
 from kronecker.linalg import charpoly
 from kronecker.polyring import MultiPoly, UniPoly, parse_poly, poly_matrix_det
 
 MAX_DEGREE = 5  # splitting dimension 120
+MAX_ATTEMPTS = 20  # weight vectors galois_group tries for a squarefree resolvent
 
 _FACT = [1, 1, 2, 6, 24, 120]
 
@@ -158,8 +169,8 @@ def resolvent_total_symmetric(f, u):
         raise DomainError("need one weight per root")
     u = [Fraction(ui) for ui in u]
     if f.has_integer_coeffs() and all(ui.denominator == 1 for ui in u) and _squarefree(f):
-        coeffs = _resolvent_from_lifted_roots([int(c) for c in f.coeffs], [int(ui) for ui in u])
-        return UniPoly("x", coeffs)
+        F = [int(c) for c in f.coeffs]
+        return _lifted_resolvent(F, [int(ui) for ui in u], _split_prime(F))
     alg = SplittingAlgebra(f)
     ell = MultiPoly.zero(alg.variables)
     for ui, r in zip(u, alg.roots()):
@@ -167,9 +178,9 @@ def resolvent_total_symmetric(f, u):
     return UniPoly("x", charpoly(alg.multiplication_matrix(ell)))
 
 
-def _resolvent_from_lifted_roots(F, u):
-    """Coefficients of the total resolvent of the monic squarefree integer
-    coefficient list F at the integer weights u.
+def _lifted_resolvent(F, u, p):
+    """The total resolvent of the monic squarefree integer coefficient list
+    F at the integer weights u, from its roots lifted at the split prime p.
 
     The coefficient of X^(N-k), N = n!, is up to sign the k-th elementary
     symmetric function of N values of absolute value at most beta, so its
@@ -177,27 +188,48 @@ def _resolvent_from_lifted_roots(F, u):
     in the coefficients of F, so once F = prod (x - a_i) modulo m the
     product over the lifted roots a_i agrees with it modulo m.
     """
-    n = len(F) - 1
-    size = _FACT[n]
-    beta = sum(map(abs, u)) * _root_bound(F)
-    bound = max(comb(size, k) * beta**k for k in range(size + 1))
-    p = _split_prime(F)
-    k = 1
-    while p**k <= 2 * bound:
-        k += 1
+    k = _lift_exponent(F, u, p)
     m = p**k
-    # lift to p^(2^steps) >= m, then keep the roots modulo m
+    values = _root_sums(_numeric_roots(F, p, k), u, m)
+    return UniPoly("x", modp.symmetric(modp.from_roots(values, m), m))
+
+
+def _lift_exponent(F, u, p):
+    """The least k with p^k above twice every coefficient bound
+    C(n!, k) beta^k of the total resolvent."""
+    size = _FACT[len(F) - 1]
+    beta = _beta(F, u)
+    bound = 2 * max(comb(size, j) * beta**j for j in range(size + 1))
+    k = 1
+    while p**k <= bound:
+        k += 1
+    return k
+
+
+def _beta(F, u):
+    """A bound on |u_1 r_(s(1)) + ... + u_n r_(s(n))| over the roots r_i of F."""
+    return sum(map(abs, u)) * _root_bound(F)
+
+
+def _numeric_roots(F, p, k):
+    """The roots of the monic F, which splits into distinct linear factors
+    mod p, as p-adic numbers modulo p^k, in the order of their residues
+    mod p."""
     lifted = _hensel_lift(F, [[-a % p, 1] for a in modp.roots(F, p)], p, (k - 1).bit_length())
-    a = [-g[0] % m for g in lifted]
-    values = [sum(ui * a[i] for ui, i in zip(u, s)) for s in itertools.permutations(range(n))]
-    return [c - m if c > m // 2 else c for c in modp.from_roots(values, m)]
+    m = p**k
+    return [-g[0] % m for g in lifted]
 
 
-def _split_prime(F):
-    """The first prime p >= 3 modulo which the monic F is a product of
-    distinct linear factors: x^p = x mod F, so F divides x^p - x, which is
-    squarefree mod p."""
-    p = 3
+def _root_sums(a, u, m):
+    """The values v_s = u_1 a_(s(1)) + ... + u_n a_(s(n)) mod m, over the
+    permutations s in itertools order."""
+    return [sum(ui * a[i] for ui, i in zip(u, s)) % m for s in itertools.permutations(range(len(a)))]
+
+
+def _split_prime(F, p=3):
+    """The first prime from the odd prime p on modulo which the monic F is a
+    product of distinct linear factors: x^p = x mod F, so F divides x^p - x,
+    which is squarefree mod p."""
     while True:
         f = modp.trim(F, p)
         if modp.powmod([0, 1], p, f, p) == modp.rem([0, 1], f, p):
@@ -338,14 +370,20 @@ def _transitive_subgroups(n):
 
 
 class GaloisResult:
-    """Permutations of the roots (1-indexed), resolvent and factor pattern."""
+    """Permutations of the roots (1-indexed), resolvent and factor pattern.
 
-    def __init__(self, group, resolvent, factor_pattern, u):
+    Root i is the i-th root of the monic integer model of f in increasing
+    order of its residue mod the prime p; a permutation s, listed as the
+    images (s(1), ..., s(n)), sends root i to root s(i).
+    """
+
+    def __init__(self, group, resolvent, factor_pattern, u, p):
         self.group = sorted(tuple(i + 1 for i in g) for g in group)
         self.order = len(group)
         self.resolvent = resolvent
         self.factor_pattern = factor_pattern
         self.u = tuple(u)
+        self.p = p
 
     def to_json(self):
         return {
@@ -395,50 +433,15 @@ def _squarefree(r):
     return r.gcd(dr).degree == 0
 
 
-def _numeric_roots(f, dps):
-    with mpmath.workdps(dps):
-        coeffs = [mpmath.mpf(int(c.numerator)) / int(c.denominator) for c in reversed(f.coeffs)]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps)
-        return [mpmath.mpc(r) for r in roots]
-
-
-def _coeffs_from_roots(roots, dps):
-    with mpmath.workdps(dps):
-        poly = [mpmath.mpc(1)]
-        for r in roots:
-            nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i] += c
-                nxt[i + 1] -= c * r
-            poly = nxt
-        return poly  # high to low
-
-
-def _try_round_integer(coeffs_high_low, eps_accept, eps_reject):
-    """Round complex coefficients to integers; True/False/None = need more dps."""
-    out = []
-    for c in coeffs_high_low:
-        nearest = int(mpmath.nint(c.real))
-        dist = abs(c.real - nearest) + abs(c.imag)
-        if dist < eps_accept:
-            out.append(nearest)
-        elif dist > eps_reject:
-            return False, None
-        else:
-            return None, None
-    return True, out
-
-
-def galois_group(f, u=None, max_attempts=20):
+def galois_group(f, u=None):
     """Galois group of an irreducible polynomial of degree <= 5.
 
     The resolvent at u (default (0, 1, ..., n-1)) is computed exactly from
     Hensel-lifted roots of the monic integer model; u is redrawn until the
-    resolvent is squarefree and the group is found.  Every degree takes the same route: the smallest
-    transitive subgroup whose orbit polynomial divides the resolvent, its
-    cosets giving the factor pattern.  The returned permutation set is
-    certified by the exact coset product, closure, transitivity, and
-    order * number_of_factors = n!.
+    resolvent is squarefree.  The group is the smallest transitive subgroup
+    whose orbit polynomial divides the resolvent, its cosets giving the
+    factor pattern; see the module docstring for the proof and the
+    certificates.
     """
     if isinstance(f, str):
         f = UniPoly.from_multipoly(parse_poly(f))
@@ -451,106 +454,80 @@ def galois_group(f, u=None, max_attempts=20):
         raise DomainError(f"degree capped at {MAX_DEGREE}")
     if not is_irreducible(f):
         raise DomainError("polynomial is reducible: the group is defined for irreducible input")
-    work = _monic_integer_model(f)
+    F = [int(c) for c in _monic_integer_model(f).coeffs]
     if u is None:
         u = tuple(range(n))
     u = tuple(int(x) for x in u)
     if len(u) != n:
         raise DomainError("need one weight per root")
-    for attempt in range(max_attempts):
-        resolvent = resolvent_total_symmetric(work, u)
+    p = _split_prime(F)
+    for _ in range(MAX_ATTEMPTS):
+        resolvent = _lifted_resolvent(F, u, p)
         if _squarefree(resolvent):
-            result = _identify_group(work, u, resolvent)
-            if result is not None:
-                return result
+            return _identify_group(F, u, resolvent, p)
         # component-dependent increments; i*i breaks the arithmetic
         # progressions that stay degenerate for root sets symmetric about 0
         u = tuple(ui + i * i for i, ui in enumerate(u))
-    raise AlgebraError("could not find a separating, closure-verified weight vector")
+    raise AlgebraError(f"no squarefree resolvent in {MAX_ATTEMPTS} weight vectors")
 
 
-def _identify_group(f, u, resolvent):
-    n = f.degree
+def _identify_group(F, u, resolvent, p):
+    """The Galois group of the monic irreducible F from its squarefree
+    resolvent at u, on the roots lifted at the first split prime from p on
+    where the root sums are distinct.  They are distinct exactly where R mod
+    p is squarefree, so only the primes dividing disc(R) are passed over."""
+    n = len(F) - 1
     perms = list(itertools.permutations(range(n)))
-    for dps in (40, 80, 160, 320, 640):
-        eps_accept = mpmath.mpf(10) ** (-dps // 2)
-        eps_reject = mpmath.mpf(10) ** (-dps // 8)
-        with mpmath.workdps(dps):
-            roots = _numeric_roots(f, dps)
-            values = {}
-            for sigma in perms:
-                values[sigma] = mpmath.fsum(
-                    [u[i] * roots[sigma[i]] for i in range(n)], absolute=False
-                )
-            if _min_separation(values.values()) < eps_reject * 100:
-                continue  # need more precision to trust the separation
-            group, pattern = _subgroup_search(
-                values, resolvent, n, eps_accept, eps_reject, dps
-            )
-            if group is None:
-                continue
-            if not _is_group(group, n) or not _is_transitive(group, n):
-                continue
-            if len(group) * len(pattern) != _FACT[n]:
-                continue
-            return GaloisResult(group, resolvent, pattern, u)
-    return None
-
-
-def _min_separation(points):
-    """min |a - b| over all pairs of the complex points, by a sweep.
-
-    The points are sorted by real part, and each is compared only with the
-    later ones whose real part lies less than the best distance so far to
-    the right: |a - b| >= |Re a - Re b|, and the rounded differences keep
-    that order, so the skipped pairs cannot lower the minimum and the value
-    equals the all-pairs minimum exactly.
-    """
-    pts = sorted(points, key=lambda z: z.real)
-    best = mpmath.inf
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            if b.real - a.real >= best:
-                break
-            best = min(best, abs(b - a))
-    return best
-
-
-def _subgroup_search(values, resolvent, n, eps_accept, eps_reject, dps):
-    """Smallest transitive subgroup whose orbit polynomial has integer
-    coefficients and divides the resolvent exactly; its cosets then factor
-    the resolvent completely, with the product verified exactly."""
-    perms = list(values)
+    while len(set(_root_sums(modp.roots(F, p), u, p))) < len(perms):
+        p = _split_prime(F, primes.next_prime(p))
+    k = _lift_exponent(F, u, p)
+    m = p**k
+    values = dict(zip(perms, _root_sums(_numeric_roots(F, p, k), u, m)))
+    beta = _beta(F, u)
+    target = [int(c) for c in resolvent.coeffs]
     for H in _transitive_subgroups(n):
-        coeffs = _coeffs_from_roots([values[s] for s in H], dps)
-        ok, ints = _try_round_integer(coeffs, eps_accept, eps_reject)
-        if ok is None:
-            return None, None  # precision insufficient to classify
-        if not ok:
+        g = _orbit_polynomial(values, H, m)
+        if not _within_bounds(g, beta) or _exact_quotient(target, g) is None:
             continue
-        g = UniPoly(resolvent.variable, list(reversed(ints)))
-        if resolvent.div_exact(g) is None:
+        return GaloisResult(H, resolvent, _certified_pattern(H, values, resolvent, m), u, p)
+    raise AlgebraError("no transitive subgroup has its orbit polynomial divide the resolvent")
+
+
+def _within_bounds(g, beta):
+    """True when the coefficient of X^(N-k) in g, of degree N, is at most
+    C(N, k) beta^k in absolute value, as in every product of N factors
+    X - v_s.  Only a filter: the exact division decides."""
+    size = len(g) - 1
+    return all(abs(c) <= comb(size, j) * beta**j for j, c in enumerate(reversed(g)))
+
+
+def _orbit_polynomial(values, perms, m):
+    """The symmetric lift mod m of the product of X - v_s over the s given."""
+    return modp.symmetric(modp.from_roots([values[s] for s in perms], m), m)
+
+
+def _certified_pattern(H, values, resolvent, m):
+    """The degrees of the coset polynomials of H, once they multiply to the
+    resolvent, H is a transitive group and |H| times their number is n!."""
+    n = len(H[0])
+    factors = []
+    covered = set()
+    for sigma in values:
+        if sigma in covered:
             continue
-        # factor the rest by cosets of H
-        factors = [g]
-        covered = set(H)
-        for sigma in perms:
-            if sigma in covered:
-                continue
-            coset = [_compose(h, sigma) for h in H]
-            covered.update(coset)
-            cc = _coeffs_from_roots([values[s] for s in coset], dps)
-            ok2, ints2 = _try_round_integer(cc, eps_accept, eps_reject)
-            if not ok2:
-                return None, None
-            factors.append(UniPoly(resolvent.variable, list(reversed(ints2))))
-        product = UniPoly(resolvent.variable, [1])
-        for fac in factors:
-            product = product * fac
-        if product != resolvent:
-            return None, None
-        return list(H), sorted(fac.degree for fac in factors)
-    return None, None
+        coset = [_compose(h, sigma) for h in H]
+        covered.update(coset)
+        factors.append(UniPoly(resolvent.variable, _orbit_polynomial(values, coset, m)))
+    product = UniPoly(resolvent.variable, [1])
+    for fac in factors:
+        product = product * fac
+    if product != resolvent:
+        raise AlgebraError("the coset polynomials do not multiply to the resolvent")
+    if not (_is_group(H, n) and _is_transitive(H, n)):
+        raise AlgebraError("the subgroup is not a transitive group")
+    if len(H) * len(factors) != _FACT[n]:
+        raise AlgebraError("the subgroup order times the coset count is not n!")
+    return sorted(fac.degree for fac in factors)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,12 @@ def from_roots(values, m):
     return out
 
 
+def symmetric(f, m):
+    """The coefficients of f lifted from [0, m) to the symmetric range
+    (-m/2, m/2]."""
+    return [c - m if c > m // 2 else c for c in f]
+
+
 def derivative(f, m):
     return trim([k * c for k, c in enumerate(f)][1:], m)
 

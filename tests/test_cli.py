@@ -42,8 +42,10 @@ PINNED = [
     (["--json", "euler-trace", "--", "x^3 - 2*x + 7", "2"], 0, '{"value": "1"}\n', ""),
     (["euler-trace", "--", "2*x^4 - x + 3", "5"], 0, "0\n", ""),
     (["--json", "euler-trace", "--", "2*x^4 - x + 3", "5"], 0, '{"value": "0"}\n', ""),
-    (["galois", "--", "x^4 - 2"], 0, "order 8\nfactor pattern: 8+8+8\n  1 2 3 4\n  1 2 4 3\n  2 1 3 4\n  2 1 4 3\n  3 4 1 2\n  3 4 2 1\n  4 3 1 2\n  4 3 2 1\n", ""),
-    (["--json", "galois", "--", "x^4 - 2"], 0, '{"elements": [[1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [3, 4, 2, 1], [4, 3, 1, 2], [4, 3, 2, 1]], "factor_pattern": [8, 8, 8], "order": 8}\n', ""),
+    (["galois", "--", "x^4 - 2"], 0, "order 8\nfactor pattern: 8+8+8\n  1 2 3 4\n  1 3 2 4\n  2 1 4 3\n  2 4 1 3\n  3 1 4 2\n  3 4 1 2\n  4 2 3 1\n  4 3 2 1\n", ""),
+    (["--json", "galois", "--", "x^4 - 2"], 0, '{"elements": [[1, 2, 3, 4], [1, 3, 2, 4], [2, 1, 4, 3], [2, 4, 1, 3], [3, 1, 4, 2], [3, 4, 1, 2], [4, 2, 3, 1], [4, 3, 2, 1]], "factor_pattern": [8, 8, 8], "order": 8}\n', ""),
+    (["galois", "--", "x^5 - 2"], 0, "order 20\nfactor pattern: 20+20+20+20+20+20\n  1 2 3 4 5\n  1 3 5 2 4\n  1 4 2 5 3\n  1 5 4 3 2\n  2 1 5 4 3\n  2 3 4 5 1\n  2 4 1 3 5\n  2 5 3 1 4\n  3 1 4 2 5\n  3 2 1 5 4\n  3 4 5 1 2\n  3 5 2 4 1\n  4 1 3 5 2\n  4 2 5 3 1\n  4 3 2 1 5\n  4 5 1 2 3\n  5 1 2 3 4\n  5 2 4 1 3\n  5 3 1 4 2\n  5 4 3 2 1\n", ""),
+    (["--json", "galois", "--", "x^5 - 2"], 0, '{"elements": [[1, 2, 3, 4, 5], [1, 3, 5, 2, 4], [1, 4, 2, 5, 3], [1, 5, 4, 3, 2], [2, 1, 5, 4, 3], [2, 3, 4, 5, 1], [2, 4, 1, 3, 5], [2, 5, 3, 1, 4], [3, 1, 4, 2, 5], [3, 2, 1, 5, 4], [3, 4, 5, 1, 2], [3, 5, 2, 4, 1], [4, 1, 3, 5, 2], [4, 2, 5, 3, 1], [4, 3, 2, 1, 5], [4, 5, 1, 2, 3], [5, 1, 2, 3, 4], [5, 2, 4, 1, 3], [5, 3, 1, 4, 2], [5, 4, 3, 2, 1]], "factor_pattern": [20, 20, 20, 20, 20, 20], "order": 20}\n', ""),
     (["galois", "--", "x^3 - 3*x + 1"], 0, "order 3\nfactor pattern: 3+3\n  1 2 3\n  2 3 1\n  3 1 2\n", ""),
     (["--json", "galois", "--", "x^3 - 3*x + 1"], 0, '{"elements": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "factor_pattern": [3, 3], "order": 3}\n', ""),
     (["resolvent", "--", "x^3 - 3*x - 1"], 0, "x^6 - 18*x^4 + 81*x^2 - 81\n", ""),
@@ -109,3 +111,17 @@ def test_malformed_input_exits_without_a_traceback(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_the_cli_does_not_import_mpmath():
+    # the Galois route is exact end to end, so start-up pays for no
+    # floating-point library
+    code = "import sys, kronecker.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

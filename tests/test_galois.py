@@ -6,10 +6,9 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from kronecker import galois, linalg
+from kronecker import galois, linalg, modp, primes
 from kronecker.errors import DomainError
 from kronecker.galois import (
     GaloisResult,
@@ -116,12 +115,13 @@ def test_resolvent_from_lifted_roots_equals_the_charpoly(monkeypatch):
     def no_charpoly(matrix):
         raise AssertionError("took the splitting-algebra charpoly")
 
+    polyroots = pytest.importorskip("mpmath").polyroots
     # the oracle calls linalg.charpoly, the route under test galois.charpoly
     monkeypatch.setattr(galois, "charpoly", no_charpoly)
     for coeffs, u in _lifted_roots_sample():
         f = UniPoly("x", coeffs)
         assert resolvent_total_symmetric(f, u) == _charpoly_resolvent(f, u), (coeffs, u)
-        roots = galois._numeric_roots(f, 30)
+        roots = polyroots(coeffs[::-1], maxsteps=200, extraprec=30)
         assert max(abs(r) for r in roots) <= galois._root_bound(coeffs)
 
 
@@ -337,35 +337,113 @@ def test_transitive_subgroups_match_all_pairs_closure():
         galois._subgroup_cache.update(saved)
 
 
-def _all_pairs_separation(points):
-    return min(abs(a - b) for a, b in itertools.combinations(points, 2))
+def _int_coeffs(text):
+    return [int(c) for c in UniPoly.from_multipoly(parse_poly(text)).coeffs]
 
 
-def test_min_separation_sweep_equals_all_pairs():
-    rng = random.Random(12)
-    with mpmath.workdps(40):
-        for size, reps in ((2, 20), (3, 20), (7, 20), (24, 10), (120, 3)):
-            for _ in range(reps):
-                pts = [
-                    mpmath.mpc(mpmath.mpf(rng.uniform(-5, 5)), mpmath.mpf(rng.uniform(-5, 5)))
-                    for _ in range(size)
-                ]
-                assert galois._min_separation(pts) == _all_pairs_separation(pts)
-        # degenerate sets: one real part shared by all, equal real parts in
-        # pairs, ties between several closest pairs, and coincident values
-        column = [mpmath.mpc(1, rng.randint(-50, 50)) for _ in range(30)]
-        pairs = [mpmath.mpc(k // 2, rng.uniform(-1, 1)) for k in range(40)]
-        grid = [mpmath.mpc(i, j) for i in range(6) for j in range(6)]
-        repeated = grid + [mpmath.mpc(3, 4)]
-        real_line = [mpmath.mpc(rng.randint(-9, 9), 0) for _ in range(30)]
-        for pts in (column, pairs, grid, repeated, real_line, list(reversed(grid))):
-            assert galois._min_separation(pts) == _all_pairs_separation(pts)
-        assert galois._min_separation(repeated) == 0
-        assert galois._min_separation(grid) == 1
-        # the 120 weighted root sums that _identify_group separates
-        roots = galois._numeric_roots(UniPoly("x", [-2, 0, 0, 0, 0, 1]), 40)
-        values = [
-            mpmath.fsum([u * roots[s[i]] for i, u in enumerate(range(5))])
-            for s in itertools.permutations(range(5))
-        ]
-        assert galois._min_separation(values) == _all_pairs_separation(values)
+@pytest.mark.parametrize(
+    "text, order",
+    [("x^4 - 2", 8), ("x^4 - 3", 8), ("x^4 - 10*x^2 + 1", 4), ("x^4 + 5*x^2 + 5", 4)],
+)
+def test_every_element_commutes_with_negation_on_even_quartics(text, order):
+    # the roots of an even f come in pairs {a, -a}, and an automorphism
+    # sends -a to minus the image of a; the roots are numbered by their
+    # residues mod res.p, so the pairs are read off there
+    res = galois_group(text)
+    assert res.order == order
+    roots = modp.roots(_int_coeffs(text), res.p)
+    assert len(roots) == 4
+    partner = [roots.index(-a % res.p) for a in roots]
+    for g in res.group:
+        s = [i - 1 for i in g]
+        assert all(s[partner[i]] == partner[s[i]] for i in range(4)), g
+
+
+def _cycle_type(perm):
+    seen, out = set(), []
+    for i in range(len(perm)):
+        length = 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            out.append(length)
+    return tuple(sorted(out, reverse=True))
+
+
+# one input per conjugacy class of transitive groups of degree 4 and 5, with
+# the class told apart by the number of elements of each cycle type
+ONE_PER_CLASS = [
+    ("x^4 + x^3 + x^2 + x + 1", {(1, 1, 1, 1): 1, (2, 2): 1, (4,): 2}),  # C4
+    ("x^4 + 1", {(1, 1, 1, 1): 1, (2, 2): 3}),  # V4
+    ("x^4 - 2", {(1, 1, 1, 1): 1, (2, 2): 3, (2, 1, 1): 2, (4,): 2}),  # D4
+    ("x^4 + 8*x + 12", {(1, 1, 1, 1): 1, (2, 2): 3, (3, 1): 8}),  # A4
+    ("x^4 + x + 1", {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}),  # S4
+    ("x^5 - 10*x^3 + 5*x^2 + 10*x + 1", {(1,) * 5: 1, (5,): 4}),  # C5
+    ("x^5 - 5*x + 12", {(1,) * 5: 1, (5,): 4, (2, 2, 1): 5}),  # D5
+    ("x^5 - 2", {(1,) * 5: 1, (5,): 4, (2, 2, 1): 5, (4, 1): 10}),  # F20
+    ("x^5 + 20*x + 16", {(1,) * 5: 1, (5,): 24, (2, 2, 1): 15, (3, 1, 1): 20}),  # A5
+    (
+        "x^5 - x - 1",
+        {(1,) * 5: 1, (2, 1, 1, 1): 10, (2, 2, 1): 15, (3, 1, 1): 20, (3, 2): 20, (4, 1): 30, (5,): 24},
+    ),  # S5
+]
+
+
+@pytest.mark.parametrize("text, types", ONE_PER_CLASS)
+def test_one_input_per_transitive_class(text, types):
+    res = galois_group(text)
+    counts = {}
+    for g in res.group:
+        t = _cycle_type([i - 1 for i in g])
+        counts[t] = counts.get(t, 0) + 1
+    assert counts == types
+    assert res.order * len(res.factor_pattern) == math.factorial(len(res.group[0]))
+
+
+def test_the_exact_division_alone_identifies_the_group(monkeypatch):
+    # the coefficient bounds only save divisions; with them off, the orbit
+    # polynomial of every candidate below the group must fail to divide
+    monkeypatch.setattr(galois, "_within_bounds", lambda g, beta: True)
+    for text, types in ONE_PER_CLASS:
+        res = galois_group(text)
+        assert len(res.group) == sum(types.values()), text
+        assert {_cycle_type([i - 1 for i in g]) for g in res.group} == set(types), text
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ONE_PER_CLASS])
+def test_frobenius_cycle_types_lie_in_the_group(text):
+    # Dedekind: for q not dividing disc(f), the degrees of the factors of f
+    # mod q are the cycle type of an element of the group
+    res = galois_group(text)
+    types = {_cycle_type([i - 1 for i in g]) for g in res.group}
+    F = _int_coeffs(text)
+    checked = 0
+    q = 2
+    while q < 500:
+        f = modp.trim(F, q)
+        if len(modp.gcd(f, modp.derivative(f, q), q)) == 1:
+            degrees = [d for g, d in modp.ddf(f, q) for _ in range((len(g) - 1) // d)]
+            assert tuple(sorted(degrees, reverse=True)) in types, (q, degrees)
+            checked += 1
+        q = primes.next_prime(q)
+    assert checked > 80
+
+
+def test_orders_agree_with_sympy_on_random_quartics_and_quintics():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois_group
+
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    seen = 0
+    while seen < 40:
+        n = rng.choice((4, 5))
+        coeffs = [rng.randint(-6, 6) for _ in range(n)] + [1]
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        if not poly.is_irreducible:
+            continue
+        seen += 1
+        expected = sympy_galois_group(poly, by_name=False)[0].order()
+        assert galois_group(UniPoly("x", coeffs)).order == expected, coeffs

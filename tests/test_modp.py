@@ -150,3 +150,9 @@ def test_x_to_the_field_size_minus_x_splits_into_every_irreducible(p, d):
     assert len(set(map(tuple, (g for g, _ in factors)))) == len(factors)
     for e in range(1, d + 1):
         assert degrees.count(e) == (_irreducible_count(p, e) if d % e == 0 else 0)
+
+
+def test_symmetric_lift_takes_the_range_above_minus_half():
+    assert modp.symmetric([0, 1, 2, 3, 4], 5) == [0, 1, 2, -2, -1]
+    assert modp.symmetric([0, 2, 3, 5], 6) == [0, 2, 3, -1]
+    assert modp.symmetric(modp.from_roots([-3 % 101, 7], 101), 101) == [-21, -4, 1]
