@@ -10,6 +10,7 @@ fixed argument vector and seed; --json renders a single JSON document.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -256,6 +257,7 @@ def _cmd_interpolate(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(
         prog="kronecker",

@@ -26,13 +26,12 @@ the prime-decomposition algorithm is provably correct.
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm as int_lcm
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import AlgNum, NumberField, is_integral
 from kronecker.polyring import MultiPoly, UniPoly, _grlex_key, divide_terms, power, resultant
-
-_ZERO = Fraction(0)
 
 
 class DivisorForm:
@@ -87,14 +86,14 @@ class DivisorForm:
             unames = tuple(v for v in p.variables if v != tvar)
         ti = p.variables.index(tvar) if tvar in p.variables else None
         buckets = {}
-        for e, c in p.terms.items():
+        for e, c in p.num.items():
             k = e[ti] if ti is not None else 0
             ue = tuple(x for i, x in enumerate(e) if i != ti)
             bucket = buckets.setdefault(ue, [])
             while len(bucket) <= k:
-                bucket.append(_ZERO)
+                bucket.append(0)
             bucket[k] += c
-        coeffs = {e: field.element(cs) for e, cs in buckets.items()}
+        coeffs = {e: field._reduce(cs, p.den) for e, cs in buckets.items()}
         return cls(field, unames, coeffs)
 
     # -- bookkeeping -----------------------------------------------------------
@@ -191,14 +190,14 @@ class DivisorForm:
 
     def to_multipoly(self):
         """As a MultiPoly in (generator variable, *unames)."""
-        tvar = self.field.minpoly.variable
-        variables = (tvar,) + self.unames
-        terms = {}
+        den = int_lcm(*(c.den for c in self.coeffs.values()))
+        num = {}
         for e, c in self.coeffs.items():
-            for k, coef in enumerate(c.coords):
-                if coef:
-                    terms[(k,) + e] = coef
-        return MultiPoly(variables, terms)
+            scale = den // c.den
+            for k, a in enumerate(c.num):
+                if a:
+                    num[(k,) + e] = a * scale
+        return MultiPoly.from_ints((self.field.minpoly.variable,) + self.unames, num, den)
 
     def conj_quadratic(self):
         return DivisorForm(
@@ -258,12 +257,9 @@ def form_norm_content_fm(D):
     if not D.is_integral_form():
         raise DomainError("form has a non-integral coefficient")
     nm = form_norm(D)
-    g = 0
-    for c in nm.terms.values():
-        if c.denominator != 1:
-            raise AlgebraError("norm of an integral form must have integer coefficients")
-        g = int_gcd(g, c.numerator)
-    content = g
+    if nm.den != 1:
+        raise AlgebraError("norm of an integral form must have integer coefficients")
+    content = int_gcd(*nm.num.values())
     fm = nm * Fraction(1, content)
     return nm, content, fm
 
@@ -308,12 +304,11 @@ def divides(D, G):
     if not D.is_integral_form() or not G.is_integral_form():
         raise DomainError("divisibility is defined for integral forms")
     nm, content, fm = form_norm_content_fm(D)
-    fm_form = DivisorForm.from_multipoly(field, fm, unames=tuple(fm.variables))
-    numerator = G * fm_form if fm.total_degree() > 0 or fm.constant_value() != 1 else G
-    quo = exact_quotient(numerator, D)
+    gfm = G * DivisorForm.from_multipoly(field, fm, unames=tuple(fm.variables))
+    quo = exact_quotient(gfm, D)
     crit1 = quo is not None and quo.is_integral_form()
 
-    crit2 = _char_equation_criterion(D, G, nm, fm_form)
+    crit2 = _char_equation_criterion(D, gfm, nm)
     if crit1 != crit2:
         raise AlgebraError(
             "internal inconsistency: the two divisibility criteria disagree"
@@ -321,14 +316,14 @@ def divides(D, G):
     return crit1
 
 
-def _char_equation_criterion(D, G, nm, fm_form):
-    """Nm(X*D - G*Fm(D)) divisible by Nm(D) with integer coefficients."""
+def _char_equation_criterion(D, gfm, nm):
+    """Nm(X*D - G*Fm(D)) divisible by Nm(D) with integer coefficients,
+    for gfm = G*Fm(D)."""
     field = D.field
     tvar = field.minpoly.variable
     xname = "X_"
-    while xname in D.unames or xname in G.unames or xname == tvar:
+    while xname in D.unames or xname in gfm.unames or xname == tvar:
         xname += "_"
-    gfm = G * fm_form
     xd, gfm = D._align(gfm)
     # X*D - G*Fm as a MultiPoly in (tvar, xname, u...)
     m_xd = xd.to_multipoly()
@@ -339,7 +334,7 @@ def _char_equation_criterion(D, G, nm, fm_form):
     quo = w.div_exact(nm)
     if quo is None:
         return False
-    return all(c.denominator == 1 for c in quo.terms.values())
+    return quo.den == 1
 
 
 def absolute_equiv(d1, d2):

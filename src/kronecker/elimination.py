@@ -165,11 +165,11 @@ def _coefficients_wrt(p, names):
     idx = [p.variables.index(n) for n in names if n in p.variables]
     keep = [v for v in p.variables if v not in names]
     buckets = {}
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         key = tuple(e[i] for i in idx)
         stripped = tuple(x if i not in idx else 0 for i, x in enumerate(e))
         buckets.setdefault(key, {})[stripped] = c
-    return [MultiPoly(p.variables, buckets[key]).with_variables(keep) for key in sorted(buckets)]
+    return [MultiPoly.from_ints(p.variables, buckets[key], p.den).with_variables(keep) for key in sorted(buckets)]
 
 
 def _interreduce(gens):
@@ -489,7 +489,7 @@ def parametrize_component(generators, factor, variables=None, unames=None, k=Non
     if any(v in phi.used_variables() for v in variables[k + 1 :]):
         return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
     # homogeneity of degree d in the weights marks a weight-independent sheet set
-    for e, _ in phi_full.terms.items():
+    for e in phi_full.num:
         deg_u = sum(e[phi_full.variables.index(u)] for u in unames if u in phi_full.variables)
         if deg_u != d:
             return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
@@ -521,8 +521,9 @@ def _verify_parametrization(generators, comp, variables):
     for g in generators:
         degree_budget = sum(g.degree(v) for v in comp.params)
         # clear denominators: substitute x_i -> phi_i, scaling by phi'^deg
+        # g.num only: g.den scales the total, and only its vanishing is tested
         total = MultiPoly.zero(())
-        for e, c in g.terms.items():
+        for e, c in g.num.items():
             term = MultiPoly.const(c)
             used = 0
             for i, v in enumerate(g.variables):

@@ -144,11 +144,11 @@ class SplittingAlgebra:
         elem = self.reduce(element)
         cols = []
         for b in self.basis:
-            mono = MultiPoly(self.variables, {b: Fraction(1)})
+            mono = MultiPoly.from_ints(self.variables, {b: 1})
             prod = self.reduce(elem * mono)
             col = [Fraction(0)] * self.dim
-            for e, c in prod.terms.items():
-                col[self._index[e]] = c
+            for e, c in prod.num.items():
+                col[self._index[e]] = Fraction(c, prod.den)
             cols.append(col)
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
@@ -170,7 +170,7 @@ def resolvent_total_symmetric(f, u):
     u = [Fraction(ui) for ui in u]
     if f.has_integer_coeffs() and all(ui.denominator == 1 for ui in u) and _squarefree(f):
         F = [int(c) for c in f.coeffs]
-        return _lifted_resolvent(F, [int(ui) for ui in u], _split_prime(F))
+        return _resolvent(*_lifted_root_sums(F, [int(ui) for ui in u], _split_prime(F)))
     alg = SplittingAlgebra(f)
     ell = MultiPoly.zero(alg.variables)
     for ui, r in zip(u, alg.roots()):
@@ -178,9 +178,18 @@ def resolvent_total_symmetric(f, u):
     return UniPoly("x", charpoly(alg.multiplication_matrix(ell)))
 
 
-def _lifted_resolvent(F, u, p):
-    """The total resolvent of the monic squarefree integer coefficient list
-    F at the integer weights u, from its roots lifted at the split prime p.
+def _lifted_root_sums(F, u, p):
+    """(values, m): the root sums v_s of the monic squarefree integer
+    coefficient list F at the integer weights u, in itertools order, over
+    its roots lifted at the split prime p to m = p^k, the least prime power
+    above twice every coefficient bound of the total resolvent."""
+    k = _lift_exponent(F, u, p)
+    m = p**k
+    return _root_sums(_numeric_roots(F, p, k), u, m), m
+
+
+def _resolvent(values, m):
+    """The total resolvent from the root sums modulo m.
 
     The coefficient of X^(N-k), N = n!, is up to sign the k-th elementary
     symmetric function of N values of absolute value at most beta, so its
@@ -188,9 +197,6 @@ def _lifted_resolvent(F, u, p):
     in the coefficients of F, so once F = prod (x - a_i) modulo m the
     product over the lifted roots a_i agrees with it modulo m.
     """
-    k = _lift_exponent(F, u, p)
-    m = p**k
-    values = _root_sums(_numeric_roots(F, p, k), u, m)
     return UniPoly("x", modp.symmetric(modp.from_roots(values, m), m))
 
 
@@ -462,27 +468,31 @@ def galois_group(f, u=None):
         raise DomainError("need one weight per root")
     p = _split_prime(F)
     for _ in range(MAX_ATTEMPTS):
-        resolvent = _lifted_resolvent(F, u, p)
+        values, m = _lifted_root_sums(F, u, p)
+        resolvent = _resolvent(values, m)
         if _squarefree(resolvent):
-            return _identify_group(F, u, resolvent, p)
+            return _identify_group(F, u, resolvent, p, values, m)
         # component-dependent increments; i*i breaks the arithmetic
         # progressions that stay degenerate for root sets symmetric about 0
         u = tuple(ui + i * i for i, ui in enumerate(u))
     raise AlgebraError(f"no squarefree resolvent in {MAX_ATTEMPTS} weight vectors")
 
 
-def _identify_group(F, u, resolvent, p):
+def _identify_group(F, u, resolvent, p, values, m):
     """The Galois group of the monic irreducible F from its squarefree
     resolvent at u, on the roots lifted at the first split prime from p on
     where the root sums are distinct.  They are distinct exactly where R mod
-    p is squarefree, so only the primes dividing disc(R) are passed over."""
+    p is squarefree, so only the primes dividing disc(R) are passed over.
+    values and m are the lifted root sums at p, reused when p qualifies."""
     n = len(F) - 1
     perms = list(itertools.permutations(range(n)))
-    while len(set(_root_sums(modp.roots(F, p), u, p))) < len(perms):
-        p = _split_prime(F, primes.next_prime(p))
-    k = _lift_exponent(F, u, p)
-    m = p**k
-    values = dict(zip(perms, _root_sums(_numeric_roots(F, p, k), u, m)))
+    q = p
+    while len(set(_root_sums(modp.roots(F, q), u, q))) < len(perms):
+        q = _split_prime(F, primes.next_prime(q))
+    if q != p:
+        p = q
+        values, m = _lifted_root_sums(F, u, p)
+    values = dict(zip(perms, values))
     beta = _beta(F, u)
     target = [int(c) for c in resolvent.coeffs]
     for H in _transitive_subgroups(n):
@@ -551,7 +561,7 @@ def genus_disc_identity(n):
             exps = [0] * n
             for k, h in enumerate(b):
                 exps[sigma[k]] += h
-            row.append(MultiPoly(variables, {tuple(exps): Fraction(1)}))
+            row.append(MultiPoly.from_ints(variables, {tuple(exps): 1}))
         rows.append(row)
     det = poly_matrix_det(rows)
     lhs = det * det

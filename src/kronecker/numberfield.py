@@ -18,42 +18,21 @@ embeddings.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.factorization import is_irreducible
-from kronecker.polyring import MultiPoly, UniPoly, discriminant, parse_poly, power
+from kronecker.polyring import MultiPoly, UniPoly, discriminant, normal_form, parse_poly, power
 
 _ZERO = Fraction(0)
-
-
-def _int_vector(coords):
-    """(num, den): ints or rationals as integers over their least common
-    denominator."""
-    coords = list(coords)
-    if all(type(c) is int for c in coords):
-        return coords, 1
-    coords = [Fraction(c) for c in coords]
-    den = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
-def _normal(num, den):
-    """(num, den) with den > 0 reduced to gcd(den, *num) = 1."""
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [a // g for a in num]
-            den //= g
-    return tuple(num), den
 
 
 def _make(field, num, den):
     """The element num/den of the field, normalised; num has length n."""
     x = object.__new__(AlgNum)
     x.field = field
-    x.num, x.den = _normal(num, den)
+    x.num, x.den = normal_form(num, den)
     return x
 
 
@@ -110,7 +89,8 @@ class NumberField:
     def element(self, coords):
         """Element from power-basis coordinates (ints or rationals); entries
         past theta^(n-1) are reduced modulo the defining polynomial."""
-        return self._reduce(*_int_vector(coords))
+        num, den = normal_form(list(coords))
+        return self._reduce(list(num), den)
 
     def _reduce(self, num, den):
         """The element num/den for an integer vector num of any length."""
@@ -143,13 +123,13 @@ class NumberField:
 
     def element_from_multipoly(self, p, name):
         """Element from a MultiPoly in the single variable `name`."""
-        coords = [_ZERO] * max(p.degree(name) + 1, 1)
-        for e, c in p.terms.items():
+        coords = [0] * max(p.degree(name) + 1, 1)
+        for e, c in p.num.items():
             k = e[p.variables.index(name)] if name in p.variables else 0
-            if sum(e) != (e[p.variables.index(name)] if name in p.variables else 0):
+            if sum(e) != k:
                 raise AlgebraError("polynomial involves foreign variables")
             coords[k] += c
-        return self.element(coords)
+        return self._reduce(coords, p.den)
 
 
 class AlgNum:
@@ -159,11 +139,11 @@ class AlgNum:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coords):
-        num, den = _int_vector(coords)
+        num, den = normal_form(list(coords))
         if len(num) != field.degree:
             raise AlgebraError("coordinate length must equal the field degree")
         self.field = field
-        self.num, self.den = _normal(num, den)
+        self.num, self.den = num, den
 
     @property
     def coords(self):
@@ -295,11 +275,7 @@ class AlgNum:
         return _make(self.field, [a + b * s, -b], self.den)
 
     def __str__(self):
-        var = "t"
-        p = MultiPoly(
-            (var,), {(k,): c for k, c in enumerate(self.coords) if c}
-        )
-        return str(p)
+        return str(MultiPoly.from_ints(("t",), {(k,): a for k, a in enumerate(self.num) if a}, self.den))
 
     def __repr__(self):
         return f"AlgNum({self})"

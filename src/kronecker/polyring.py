@@ -1,10 +1,15 @@
 """Sparse multivariate and dense univariate polynomials over Q, exactly.
 
-MultiPoly is the universal carrier: variables are an ordered name tuple and
-terms map exponent tuples to nonzero Fraction coefficients.  The canonical
+MultiPoly is the universal carrier: variables are an ordered name tuple, and
+the polynomial is one integer term map ``num`` (exponent tuples to nonzero
+ints) over one positive integer denominator ``den``.  It is kept in the
+normal form that numberfield.AlgNum shares, gcd(den, *num) = 1 with zero
+stored as ({}, 1) (Cohen, A Course in Computational Algebraic Number Theory,
+§4.2), so the term kernels and exact division run on integers.  Fractions
+appear only at the API edge: the constructor takes ints and Fractions, and
+``terms``, ``lc`` and ``constant_value`` return Fractions.  The canonical
 term order is graded lexicographic with respect to the declared variable
-order; printing and hashing follow it, so equal polynomials print and hash
-identically.
+order; printing follows it, so equal polynomials print identically.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -14,23 +19,40 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError, ParseError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def normal_form(coeffs, den=1):
+    """(nums, den): the rationals c / den for c in the sequence coeffs, ints
+    or Fractions, as a tuple of ints over one positive denominator with
+    gcd(den, *nums) = 1; when every c is zero, den = 1.  The normal form of
+    MultiPoly and numberfield.AlgNum.  den is a positive int.
+
+    Over the least common denominator of Fractions in lowest terms the
+    numerators already share no prime with it, so only den can bring a
+    common factor."""
+    if not all(type(c) is int for c in coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        d = int_lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (d // c.denominator) for c in coeffs]
+        den *= d
+    if den != 1:
+        g = int_gcd(den, *coeffs)
+        if g != 1:
+            return tuple(c // g for c in coeffs), den // g
+    return tuple(coeffs), den
 
 
 # ---------------------------------------------------------------------------
 # term-map kernels
 # ---------------------------------------------------------------------------
 # A term map is a dict mapping exponent tuples (one int per variable) to
-# nonzero Fraction coefficients.  These two functions carry most of the
-# package's arithmetic load, so coefficient sums are accumulated on raw
-# (numerator, denominator) integer pairs and normalized once per output term
-# instead of going through Fraction on every partial product.
+# nonzero integer coefficients.
 
 
 def mul_terms(a, b):
@@ -40,49 +62,22 @@ def mul_terms(a, b):
     acc = {}
     get = acc.get
     for ea, ca in a.items():
-        na = ca.numerator
-        da = ca.denominator
         for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            n = na * cb.numerator
-            d = da * cb.denominator
-            cur = get(key)
-            if cur is None:
-                acc[key] = [n, d]
-            elif cur[1] == d:
-                cur[0] += n
-            else:
-                cur[0] = cur[0] * d + n * cur[1]
-                cur[1] *= d
-    out = {}
-    for key, (n, d) in acc.items():
-        if n:
-            out[key] = Fraction(n, d)
-    return out
+            key = tuple(map(add, ea, eb))
+            acc[key] = get(key, 0) + ca * cb
+    return {e: c for e, c in acc.items() if c}
 
 
 def add_scaled_terms(a, b, c):
-    """a + c*b for term maps a, b and a Fraction scale c."""
-    if not c:
-        return dict(a)
+    """a + c*b for term maps a, b and a nonzero integer scale c."""
     out = dict(a)
-    cn = c.numerator
-    cd = c.denominator
-    for eb, cb in b.items():
-        cur = out.get(eb)
-        if cur is None:
-            v = cb if cn == 1 and cd == 1 else Fraction(cn * cb.numerator, cd * cb.denominator)
-            if v:
-                out[eb] = v
+    get = out.get
+    for e, v in b.items():
+        s = get(e, 0) + c * v
+        if s:
+            out[e] = s
         else:
-            v = cur + cb if cn == 1 and cd == 1 else Fraction(
-                cur.numerator * cd * cb.denominator + cn * cb.numerator * cur.denominator,
-                cur.denominator * cd * cb.denominator,
-            )
-            if v:
-                out[eb] = v
-            else:
-                del out[eb]
+            del out[e]
     return out
 
 
@@ -156,35 +151,49 @@ def _primitive_ints(coeffs):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients:
+    the integer term map num over the positive integer den."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "num", "den", "_hash")
 
     def __init__(self, variables, terms):
+        """terms maps exponent tuples to ints or Fractions; zeros are dropped."""
         self.variables = tuple(variables)
-        clean = {}
         width = len(self.variables)
+        keys, values = [], []
         for exps, c in terms.items():
             if len(exps) != width:
                 raise AlgebraError("exponent tuple width does not match variable count")
-            c = Fraction(c)
             if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+                keys.append(tuple(exps))
+                values.append(c)
+        values, self.den = normal_form(values)
+        self.num = dict(zip(keys, values))
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_ints(cls, variables, num, den=1):
+        """num / den from a term map num of nonzero ints, with exponent
+        tuples of the variables' width, and a positive int den."""
+        p = object.__new__(cls)
+        p.variables = tuple(variables)
+        if den != 1:
+            values, den = normal_form(list(num.values()), den)
+            num = dict(zip(num, values))
+        p.num, p.den, p._hash = num, den, None
+        return p
+
+    @classmethod
     def zero(cls, variables=()):
-        return cls(variables, {})
+        return cls.from_ints(variables, {})
 
     @classmethod
     def const(cls, value, variables=()):
         value = Fraction(value)
-        if not value:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): value})
+        num = {(0,) * len(variables): value.numerator} if value else {}
+        return cls.from_ints(variables, num, value.denominator)
 
     @classmethod
     def var(cls, name, variables=None):
@@ -193,58 +202,64 @@ class MultiPoly:
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): _ONE})
+        return cls.from_ints(variables, {tuple(exps): 1})
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self):
+        """The term map with Fraction coefficients, as a new dict."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     @property
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.num)
 
     def constant_value(self):
-        if not self.terms:
+        if not self.num:
             return _ZERO
         if not self.is_constant:
             raise AlgebraError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.num.values())), self.den)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def degree(self, name):
         """Degree in one variable; -1 for the zero polynomial, 0 if absent."""
-        if not self.terms:
+        if not self.num:
             return -1
         if name not in self.variables:
             return 0
         i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.num)
 
     def used_variables(self):
         used = set()
-        for e in self.terms:
+        for e in self.num:
             for i, k in enumerate(e):
                 if k:
                     used.add(self.variables[i])
         return used
 
     def sorted_terms(self):
-        """Terms in graded-lex descending order."""
+        """Terms in graded-lex descending order, with Fraction coefficients."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self.num:
             raise AlgebraError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.num, key=_grlex_key)
+        return e, Fraction(self.num[e], self.den)
 
     def lc(self):
         return self.leading_term()[1]
@@ -259,15 +274,15 @@ class MultiPoly:
             if v in variables:
                 idx.append((i, variables.index(v)))
             else:
-                if any(e[i] for e in self.terms):
+                if any(e[i] for e in self.num):
                     raise AlgebraError(f"cannot drop used variable {v!r}")
-        terms = {}
-        for e, c in self.terms.items():
+        num = {}
+        for e, c in self.num.items():
             new = [0] * len(variables)
             for i, j in idx:
                 new[j] = e[i]
-            terms[tuple(new)] = c
-        return MultiPoly(variables, terms)
+            num[tuple(new)] = c
+        return MultiPoly.from_ints(variables, num, self.den)
 
     def _align(self, other):
         if isinstance(other, MultiPoly):
@@ -282,30 +297,39 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign*other over the lcm of the two denominators."""
         a, b = self._align(other)
-        return MultiPoly(a.variables, add_scaled_terms(a.terms, b.terms, _ONE))
+        if a.den == b.den:
+            return MultiPoly.from_ints(a.variables, add_scaled_terms(a.num, b.num, sign), a.den)
+        g = int_gcd(a.den, b.den)
+        sa, sb = b.den // g, a.den // g
+        num = add_scaled_terms({e: c * sa for e, c in a.num.items()}, b.num, sign * sb)
+        return MultiPoly.from_ints(a.variables, num, a.den * sa)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        return MultiPoly(a.variables, add_scaled_terms(a.terms, b.terms, Fraction(-1)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.from_ints(self.variables, {e: -c for e, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.variables)
-            return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
+            n = c.numerator
+            return MultiPoly.from_ints(self.variables, {e: n * v for e, v in self.num.items()}, self.den * c.denominator)
         a, b = self._align(other)
-        return MultiPoly(a.variables, mul_terms(a.terms, b.terms))
+        return MultiPoly.from_ints(a.variables, mul_terms(a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -318,17 +342,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._align(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         if self._hash is None:
             used = sorted(self.used_variables())
             p = self.with_variables(used) if tuple(used) != self.variables else self
-            self._hash = hash((tuple(used), tuple(p.sorted_terms())))
+            self._hash = hash((tuple(used), tuple(sorted(p.num.items())), p.den))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- calculus / evaluation ----------------------------------------------
 
@@ -336,13 +360,13 @@ class MultiPoly:
         if name not in self.variables:
             return MultiPoly.zero(self.variables)
         i = self.variables.index(name)
-        terms = {}
-        for e, c in self.terms.items():
+        num = {}
+        for e, c in self.num.items():
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
-                terms[tuple(ne)] = c * e[i]
-        return MultiPoly(self.variables, terms)
+                num[tuple(ne)] = c * e[i]
+        return MultiPoly.from_ints(self.variables, num, self.den)
 
     def subs(self, assignment):
         """Substitute variables by polynomials or rationals; the rest stay.
@@ -362,10 +386,11 @@ class MultiPoly:
                 if v not in target_vars:
                     target_vars.append(v)
         target = tuple(target_vars)
+        origin = (0,) * len(target)
         power_cache = {}
         result = MultiPoly.zero(target)
-        for e, c in self.terms.items():
-            part = MultiPoly.const(c, target)
+        for e, c in self.num.items():
+            part = MultiPoly.from_ints(target, {origin: c})
             for i, k in enumerate(e):
                 if not k:
                     continue
@@ -377,69 +402,67 @@ class MultiPoly:
                     val = power_cache[key] = base**k
                 part = part * val
             result = result + part
-        return result
+        return result if self.den == 1 else result * Fraction(1, self.den)
 
     def eval_at(self, point):
         """Full evaluation; point maps every used variable to a Fraction."""
-        total = _ZERO
-        for e, c in self.terms.items():
+        total = 0
+        for e, c in self.num.items():
             v = c
             for i, k in enumerate(e):
                 if k:
                     v *= Fraction(point[self.variables[i]]) ** k
             total += v
-        return total
+        return Fraction(total, self.den)
 
     # -- views ---------------------------------------------------------------
 
     def coeffs_in(self, name):
         """dict power -> MultiPoly coefficient (same variable tuple, name unused)."""
         if name not in self.variables:
-            return {0: self} if self.terms else {}
+            return {0: self} if self.num else {}
         i = self.variables.index(name)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             ne = list(e)
             k = ne[i]
             ne[i] = 0
-            bucket = out.setdefault(k, {})
-            bucket[tuple(ne)] = bucket.get(tuple(ne), _ZERO) + c
-        return {k: MultiPoly(self.variables, t) for k, t in out.items() if any(t.values())}
+            out.setdefault(k, {})[tuple(ne)] = c
+        return {k: MultiPoly.from_ints(self.variables, t, self.den) for k, t in out.items()}
 
     def monomial_coefficient(self, name_powers):
         """Coefficient (a MultiPoly) of a product of variable powers."""
         fixed = {self.variables.index(n): k for n, k in name_powers.items()}
-        terms = {}
-        for e, c in self.terms.items():
+        num = {}
+        for e, c in self.num.items():
             if all(e[i] == k for i, k in fixed.items()):
                 ne = list(e)
                 for i in fixed:
                     ne[i] = 0
-                terms[tuple(ne)] = c
-        return MultiPoly(self.variables, terms)
+                num[tuple(ne)] = c
+        return MultiPoly.from_ints(self.variables, num, self.den)
 
     # -- exact division -------------------------------------------------------
 
     def div_exact(self, other):
         """Quotient q with self == other*q, or None when not divisible.
 
-        Both sides are split into content and primitive integer part; by
-        Gauss's lemma the primitive parts divide over Q exactly when they
-        divide over Z, and the quotient is scaled back by the contents.
+        The divisor is split into its integer content g and primitive part
+        B.  By Gauss's lemma an integer term map A is divisible by B over Q
+        exactly when it is over Z, so A = self.num is divided by B over Z
+        and the quotient is scaled back by other.den / (g * self.den).
         """
         a, b = self._align(other)
         if b.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if a.is_zero:
             return MultiPoly.zero(a.variables)
-        ca, na = _primitive_ints(a.terms.values())
-        cb, nb = _primitive_ints(b.terms.values())
-        den = dict(zip(b.terms, nb))
-        quo = divide_terms(dict(zip(a.terms, na)), den, _int_quotient(den))
+        g = int_gcd(*b.num.values())
+        den = {e: c // g for e, c in b.num.items()}
+        quo = divide_terms(dict(a.num), den, _int_quotient(den))
         if quo is None:
             return None
-        scale = ca / cb
-        return MultiPoly(a.variables, {e: scale * c for e, c in quo.items()})
+        return MultiPoly.from_ints(a.variables, {e: c * b.den for e, c in quo.items()}, g * a.den)
 
     def divides(self, other):
         return other.div_exact(self) is not None
@@ -447,7 +470,7 @@ class MultiPoly:
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         chunks = []
         for e, c in self.sorted_terms():
@@ -474,15 +497,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def poly_from_terms(variables, items):
-    """Build a MultiPoly from (exponents, coefficient) pairs, summing repeats."""
-    terms = {}
-    for e, c in items:
-        e = tuple(e)
-        terms[e] = terms.get(e, _ZERO) + Fraction(c)
-    return MultiPoly(variables, terms)
-
-
 # ---------------------------------------------------------------------------
 # dense univariate polynomials
 # ---------------------------------------------------------------------------
@@ -507,23 +521,24 @@ class UniPoly:
             raise AlgebraError("polynomial is not univariate")
         if variable is None:
             variable = next(iter(used)) if used else (p.variables[0] if p.variables else "x")
-        out = [_ZERO] * (p.degree(variable) + 1)
-        for e, c in p.terms.items():
+        out = [0] * (p.degree(variable) + 1)
+        for e, c in p.num.items():
             k = e[p.variables.index(variable)] if variable in p.variables else 0
             out[k] += c
-        return cls(variable, out)
+        return cls(variable, [Fraction(c, p.den) for c in out])
 
     def to_multipoly(self, variables=None):
         if variables is None:
             variables = (self.variable,)
         i = variables.index(self.variable)
-        terms = {}
-        for k, c in enumerate(self.coeffs):
+        nums, den = normal_form(self.coeffs)
+        num = {}
+        for k, c in enumerate(nums):
             if c:
                 e = [0] * len(variables)
                 e[i] = k
-                terms[tuple(e)] = c
-        return MultiPoly(variables, terms)
+                num[tuple(e)] = c
+        return MultiPoly.from_ints(variables, num, den)
 
     @property
     def degree(self):
@@ -857,10 +872,10 @@ def content_primitive(p):
     """
     if p.is_zero:
         return Fraction(0), p
-    scale, ints = _primitive_ints(p.terms.values())
-    if p.lc() < 0:
-        scale, ints = -scale, [-c for c in ints]
-    return scale, MultiPoly(p.variables, dict(zip(p.terms, ints)))
+    g = int_gcd(*p.num.values())
+    if p.num[max(p.num, key=_grlex_key)] < 0:
+        g = -g
+    return Fraction(g, p.den), MultiPoly.from_ints(p.variables, {e: c // g for e, c in p.num.items()})
 
 
 def normalize_primitive(p):
@@ -917,8 +932,8 @@ def gcd(p, q):
     leading coefficient; gcd(0, 0) = 0 and a constant gcd is 1.
 
     Heuristic gcd by integer evaluation (Char, Geddes and Gonnet, "GCDHEU",
-    J. Symb. Comp. 7, 1989).  Both inputs are scaled to primitive integer
-    polynomials, and the last variable is evaluated at
+    J. Symb. Comp. 7, 1989).  Both integer term maps are divided by their
+    contents, and the last variable is evaluated at
     xi = 2*min(|f|, |g|) + 29, where |.| is the largest coefficient.  The
     gcd of the evaluations, computed by the same method one variable down
     and by math.gcd at the bottom, is expanded in symmetric base xi back
@@ -945,16 +960,10 @@ def gcd(p, q):
     if not used:
         return MultiPoly.const(1, p.variables)
     try:
-        h = _heu_gcd(_int_terms(p, used), _int_terms(q, used))
+        h = _heu_gcd(p.with_variables(used).num, q.with_variables(used).num)
     except _HeuristicFailed:
         return _gcd_prs(p, q)
-    return normalize_primitive(MultiPoly(used, h).with_variables(p.variables))
-
-
-def _int_terms(p, used):
-    """Integer term map of p's primitive part over the variables used."""
-    prim = content_primitive(p)[1].with_variables(used)
-    return {e: c.numerator for e, c in prim.terms.items()}
+    return normalize_primitive(MultiPoly.from_ints(used, h).with_variables(p.variables))
 
 
 def _heu_gcd(f, g):
@@ -1117,14 +1126,14 @@ def poly_matrix_det(rows):
             variables.extend(v for v in a.variables if v not in variables)
     variables = tuple(variables)
     m = [[a if a.variables == variables else a.with_variables(variables) for a in row] for row in rows]
-    spans = [1 + sum(max((e[v] for a in row for e in a.terms), default=0) for row in m) for v in range(len(variables))]
+    spans = [1 + sum(max((e[v] for a in row for e in a.num), default=0) for row in m) for v in range(len(variables))]
     slots = prod(spans)
-    if slots > _SLOTS_PER_TERM * prod(len({e for a in row for e in a.terms}) for row in m):
+    if slots > _SLOTS_PER_TERM * prod(len({e for a in row for e in a.num}) for row in m):
         return _poly_matrix_det_terms(m)
     scale, bound, int_rows = 1, 1, []
     for row in m:
-        d = int_lcm(*(c.denominator for a in row for c in a.terms.values()))
-        ints = [{e: c.numerator * (d // c.denominator) for e, c in a.terms.items()} for a in row]
+        d = int_lcm(*(a.den for a in row))
+        ints = [{e: c * (d // a.den) for e, c in a.num.items()} for a in row]
         bound *= sum(abs(c) for t in ints for c in t.values())
         scale *= d
         int_rows.append(ints)
@@ -1146,8 +1155,8 @@ def poly_matrix_det(rows):
             for span in spans:
                 r, k = divmod(r, span)
                 e.append(k)
-            terms[tuple(e)] = Fraction(int.from_bytes(digit, "little") - half, scale)
-    return MultiPoly(variables, terms)
+            terms[tuple(e)] = int.from_bytes(digit, "little") - half
+    return MultiPoly.from_ints(variables, terms, scale)
 
 
 def _pack(terms, weights, width):
@@ -1277,24 +1286,21 @@ def kronecker_substitute(p, g):
         raise DomainError("substitution base must exceed every per-variable degree")
     target = p.variables[0] if p.variables else "x"
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         packed = 0
         weight = 1
         for k in e:
             packed += k * weight
             weight *= g
-        out[packed] = out.get(packed, _ZERO) + c
-    coeffs = [_ZERO] * (max(out) + 1 if out else 0)
+        out[packed] = c
+    coeffs = [0] * (max(out) + 1 if out else 0)
     for k, c in out.items():
-        coeffs[k] = c
+        coeffs[k] = Fraction(c, p.den)
     return UniPoly(target, coeffs), SubstitutionCodec(g, p.variables, target)
 
 
 def kronecker_inverse(u, codec):
     """Inverse of kronecker_substitute via base-g digit expansion."""
-    terms = {}
-    for k, c in enumerate(u.coeffs):
-        if c:
-            e = codec.decode_exponent(k)
-            terms[e] = terms.get(e, _ZERO) + c
-    return MultiPoly(codec.variables, terms)
+    nums, den = normal_form(u.coeffs)
+    num = {codec.decode_exponent(k): c for k, c in enumerate(nums) if c}
+    return MultiPoly.from_ints(codec.variables, num, den)

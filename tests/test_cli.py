@@ -5,13 +5,14 @@ byte for byte, in text and in --json mode; an error exits with 1 and one
 ``error:`` line on stderr, never a traceback.
 """
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from kronecker.cli import main
+from kronecker.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -64,6 +65,20 @@ PINNED = [
     (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "2"], 0, '{"divides": true}\n', ""),
     (["divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, "false\n", ""),
     (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, '{"divides": false}\n', ""),
+    (["factor", "--", "2/3*x^2*y - 3/2*y"], 0, "1/6 * (2*x + 3) * (2*x - 3) * (y)\n", ""),
+    (["--json", "factor", "--", "2/3*x^2*y - 3/2*y"], 0, '{"factors": [["2*x + 3", 1], ["2*x - 3", 1], ["y", 1]], "unit": "1/6"}\n', ""),
+    (["factor", "--", "1/6*x^3 + 1/3*x^2 - 1/2*x"], 0, "1/6 * (x) * (x + 3) * (x - 1)\n", ""),
+    (["--json", "factor", "--", "1/6*x^3 + 1/3*x^2 - 1/2*x"], 0, '{"factors": [["x", 1], ["x + 3", 1], ["x - 1", 1]], "unit": "1/6"}\n', ""),
+    (["gcd", "--", "1/2*x^2*y - 1/2*y", "3/4*x*y + 3/4*y"], 0, "x*y + y\n", ""),
+    (["--json", "gcd", "--", "1/2*x^2*y - 1/2*y", "3/4*x*y + 3/4*y"], 0, '{"gcd": "x*y + y"}\n', ""),
+    (["gcd", "--", "2/3*x^2 - 3/2", "5/7*x + 15/14"], 0, "2*x + 3\n", ""),
+    (["--json", "gcd", "--", "2/3*x^2 - 3/2", "5/7*x + 15/14"], 0, '{"gcd": "2*x + 3"}\n', ""),
+    (["resultant", "--", "1/2*x^2 + y", "2/3*x - 1/5*y", "x"], 0, "1/50*y^2 + 4/9*y\n", ""),
+    (["--json", "resultant", "--", "1/2*x^2 + y", "2/3*x - 1/5*y", "x"], 0, '{"resultant": "1/50*y^2 + 4/9*y"}\n', ""),
+    (["disc", "--", "1/3*x^3 - 2/5*x + y", "x"], 0, "-3*y^2 + 32/375\n", ""),
+    (["--json", "disc", "--", "1/3*x^3 - 2/5*x + y", "x"], 0, '{"discriminant": "-3*y^2 + 32/375"}\n', ""),
+    (["disc", "--", "7/2*x^2 - 1/3*x + 5/6"], 0, "-104/9\n", ""),
+    (["--json", "disc", "--", "7/2*x^2 - 1/3*x + 5/6"], 0, '{"discriminant": "-104/9"}\n', ""),
     (["euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
     (["--json", "euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
     (["resolvent", "--", "2*x^2 + 1"], 1, "", "error: splitting algebra requires a monic polynomial\n"),
@@ -77,6 +92,21 @@ PINNED = [
 def test_cli_output_is_pinned(argv, code, out, err, capsys):
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_interpolation_at_rational_points_is_pinned(tmp_path, capsys):
+    problem = {
+        "system": ["(2*x - 1)*(3*x + 2)", "(4*y - 3)*(y + 1/5)"],
+        "points": [["1/2", "3/4"], ["-2/3", "3/4"], ["1/2", "-1/5"], ["-2/3", "-1/5"]],
+        "values": ["1/3", "-5/2", "7", "0"],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    interpolant = "-500/133*x*y + 698/133*x - 2050/399*y + 1186/399"
+    assert main(["interpolate", "--", str(path)]) == 0
+    assert capsys.readouterr() == (interpolant + "\n", "")
+    assert main(["--json", "interpolate", "--", str(path)]) == 0
+    assert capsys.readouterr() == (json.dumps({"interpolant": interpolant}) + "\n", "")
 
 
 def _run(*argv):
@@ -111,6 +141,28 @@ def test_malformed_input_exits_without_a_traceback(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_one_process_answers_as_fresh_processes_do(capsys):
+    # the argument parser is built once per process and reused; a usage
+    # error or a domain error in between leaves no state behind
+    sequence = [
+        ("gcd", "--", "x^2 - 1", "x + 1"),
+        ("gcd", "--", "x"),
+        ("resolvent", "--", "2*x^2 + 1"),
+        ("gcd", "--", "x^2 - 1", "x + 1"),
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        fresh = _run(*argv)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+        codes.append(code)
+    assert codes == [0, 2, 1, 0]
+    assert build_parser() is build_parser()
 
 
 def test_the_cli_does_not_import_mpmath():

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: parser, gcd, resultants, substitution."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -601,3 +602,158 @@ def test_det_at_the_packed_byte_cap(monkeypatch, spans, packed):
     det = poly_matrix_det(rows)
     assert calls == ([] if packed else [2])
     assert det == reference(rows) == x ** (a + d) + x**a - y ** (b + c)
+
+
+# -- the integer carrier against a Fraction term-map reference ----------------
+
+_XYZ = ("x", "y", "z")
+
+
+def _assert_normal(p):
+    """num maps exponent tuples of the right width to nonzero ints, den is
+    a positive int, gcd(den, *num) = 1, and zero is ({}, 1)."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert all(len(e) == len(p.variables) for e in p.num)
+    assert math.gcd(p.den, *p.num.values()) == 1
+
+
+def _ref_add(a, b, scale=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a, k):
+    out = {(0,) * len(_XYZ): Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_content(a):
+    """The rational content of a nonzero Fraction term map, signed like its
+    graded-lex leading coefficient."""
+    den = math.lcm(*(c.denominator for c in a.values()))
+    g = math.gcd(*(c.numerator * (den // c.denominator) for c in a.values()))
+    lead = max(a, key=lambda e: (sum(e), e))
+    return Fraction(g, den) if a[lead] > 0 else Fraction(-g, den)
+
+
+def _carrier_sample(rng):
+    """Zero, a constant or a polynomial in x, y, z, entered through unreduced
+    Fractions with mixed denominators and signs."""
+    shape = rng.random()
+    terms = {}
+    if shape < 0.1:
+        return MultiPoly(_XYZ, {(1, 0, 0): Fraction(0, 7)})
+    count = 1 if shape < 0.25 else rng.randint(1, 5)
+    for _ in range(count):
+        e = (0, 0, 0) if shape < 0.25 else tuple(rng.randint(0, 2) for _ in _XYZ)
+        k = rng.choice((1, 2, 6))
+        terms[e] = Fraction(k * rng.randint(-12, 12), k * rng.choice((1, 1, 2, 3, 4, 9)))
+    return MultiPoly(_XYZ, terms)
+
+
+def test_carrier_arithmetic_matches_a_fraction_reference():
+    rng = random.Random(41)
+    for _ in range(300):
+        a, b = _carrier_sample(rng), _carrier_sample(rng)
+        ta, tb = a.terms, b.terms
+        for p in (a, b):
+            _assert_normal(p)
+            assert all(type(c) is Fraction for c in p.terms.values())
+        cases = [
+            (a + b, _ref_add(ta, tb)),
+            (a - b, _ref_add(ta, tb, -1)),
+            (-a, _ref_add({}, ta, -1)),
+            (a * b, _ref_mul(ta, tb)),
+            (a * Fraction(-3, 4), _ref_add({}, ta, Fraction(-3, 4))),
+            (a**3, _ref_pow(ta, 3)),
+            (a.derivative("y"), {(i, j - 1, k): c * j for (i, j, k), c in ta.items() if j}),
+        ]
+        for got, want in cases:
+            _assert_normal(got)
+            assert got.terms == want
+        point = {"x": Fraction(-2, 3), "y": Fraction(5, 2), "z": 7}
+        want = sum((c * Fraction(-2, 3) ** i * Fraction(5, 2) ** j * 7**k for (i, j, k), c in ta.items()), Fraction(0))
+        assert a.eval_at(point) == want and type(a.eval_at(point)) is Fraction
+        for k, coeff in a.coeffs_in("x").items():
+            _assert_normal(coeff)
+            assert coeff.terms == {(0, j, l): c for (i, j, l), c in ta.items() if i == k}
+        assert sum(len(c.num) for c in a.coeffs_in("x").values()) == len(ta)
+
+
+def test_carrier_substitution_matches_a_fraction_reference():
+    rng = random.Random(43)
+    for _ in range(120):
+        a, v = _carrier_sample(rng), _carrier_sample(rng)
+        value = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        got = a.subs({"x": v, "z": value})
+        _assert_normal(got)
+        want = {}
+        for (i, j, k), c in a.terms.items():
+            part = _ref_mul({(0, j, 0): c * value**k}, _ref_pow(v.terms, i))
+            want = _ref_add(want, part)
+        assert got.terms == want
+
+
+def test_carrier_division_and_content_match_a_fraction_reference():
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(200):
+        a, b = _carrier_sample(rng), _carrier_sample(rng)
+        if a.is_zero:
+            continue
+        c, prim = content_primitive(a)
+        _assert_normal(prim)
+        assert c == _ref_content(a.terms)
+        assert prim.den == 1 and prim.terms == {e: v / c for e, v in a.terms.items()}
+        if b.is_zero:
+            continue
+        for num in (a * b, a * b + 1):
+            got = num.div_exact(b)
+            want = _div_reference(num, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                _assert_normal(got)
+                assert got.terms == want.terms
+                checked += 1
+        g = gcd(a * b, b * b + b)
+        _assert_normal(g)
+        assert g.den == 1 and g.lc() > 0
+        for f in (a * b, b * b + b):
+            assert _div_reference(f, g) is not None
+        cofactors = [_div_reference(f, g) for f in (a * b, b * b + b)]
+        assert gcd(*cofactors).is_constant
+    assert checked >= 100
+
+
+def test_equal_polynomials_hash_alike():
+    a = MultiPoly(("x", "y"), {(1, 0): Fraction(2, 4), (0, 2): Fraction(-6, 8)})
+    b = MultiPoly(("y", "x", "z"), {(2, 0, 0): Fraction(-3, 4), (0, 1, 0): Fraction(1, 2)})
+    c = parse_poly("1/2*x - 3/4*y^2")
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert (a.num, a.den) == ({(1, 0): 2, (0, 2): -3}, 4)
+    two = MultiPoly(("x",), {(1,): Fraction(4, 2)})
+    assert two == MultiPoly(("x",), {(1,): 2}) and (two.num, two.den) == ({(1,): 2}, 1)
+    half = MultiPoly.const(Fraction(3, 6), ("x", "y"))
+    assert half == MultiPoly.const(Fraction(1, 2)) and hash(half) == hash(MultiPoly.const(Fraction(1, 2)))
+    assert MultiPoly(("x",), {(1,): Fraction(0, 3)}) == MultiPoly.zero(("y",))
+    assert hash(MultiPoly.zero(("x",))) == hash(MultiPoly.zero(()))
+    assert a != a + 1 and a != a * 2
+    rng = random.Random(53)
+    for _ in range(50):
+        p = _carrier_sample(rng)
+        q = p.with_variables(("z", "w", "x", "y"))
+        assert p == q and hash(p) == hash(q)

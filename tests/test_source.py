@@ -83,3 +83,20 @@ def test_the_mod_p_lint_recognises_a_dense_product():
     )
     assert _dense_mod_p_loop(ast.parse(source).body[0])
     assert not _dense_mod_p_loop(ast.parse(source.replace(" % p", "")).body[0])
+
+
+def test_term_kernels_never_name_fraction():
+    # MultiPoly carries integers over one denominator, so the term kernels
+    # run on ints; Fractions belong at the API edge only
+    tree = ast.parse((PACKAGE / "polyring.py").read_text())
+    kernels = {"mul_terms", "add_scaled_terms", "divide_terms"}
+    found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in kernels}
+    assert set(found) == kernels
+    naming = sorted(
+        name
+        for name, fn in found.items()
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    )
+    assert not naming, f"term kernels that name Fraction: {naming}"
