@@ -77,9 +77,9 @@ def _cmd_disc(args):
     var = args.var
     if var is None:
         used = sorted(p.used_variables())
-        if len(used) != 1:
+        if len(used) > 1:
             raise AlgebraError("specify the variable for a multivariate discriminant")
-        var = used[0]
+        var = used[0] if used else None  # a constant has degree 0 in any variable
     d = discriminant(p, var)
     return _emit(args, {"discriminant": str(d)}, [str(d)])
 

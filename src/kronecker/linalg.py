@@ -1,4 +1,7 @@
-"""Exact dense linear algebra over Q: determinants, solving, charpoly."""
+"""Exact dense linear algebra: determinants, solving, charpoly.
+
+berkowitz_det, the package's one determinant, is division-free, so it runs
+on ints and on polyring.MultiPoly entries alike."""
 
 from fractions import Fraction
 from math import isqrt, lcm
@@ -14,44 +17,59 @@ MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 12
 def mat_det(rows):
     """Determinant of a square matrix of ints or rationals, exactly.
 
-    Fraction-free Bareiss elimination (Bareiss 1968) on integers.  After
-    step k every remaining entry is a (k+2)-minor of the matrix, so each
-    division by the previous pivot is exact and is done with //.  An all-int
-    matrix gives an int.  Otherwise each row is scaled to integers by the
-    lcm of its denominators, and the integer determinant divided by the
-    product of those lcms comes back as a Fraction.
+    An all-int matrix goes to berkowitz_det as it is and gives an int.
+    Otherwise each row is scaled to integers by the lcm of its
+    denominators, and the integer determinant divided by the product of
+    those lcms comes back as a Fraction.
     """
     if all(isinstance(x, int) for r in rows for x in r):
-        return _bareiss([list(r) for r in rows])
+        return berkowitz_det(rows)
     scale, m = 1, []
     for r in rows:
         r = [Fraction(x) for x in r]
         d = lcm(*(x.denominator for x in r))
         scale *= d
         m.append([x.numerator * (d // x.denominator) for x in r])
-    return Fraction(_bareiss(m), scale)
+    return Fraction(berkowitz_det(m), scale)
 
 
-def _bareiss(m):
-    """Determinant of a square integer matrix, overwriting it."""
-    n = len(m)
+def berkowitz_det(rows):
+    """Determinant of a square matrix over a commutative ring, without
+    division (Berkowitz 1984, Inf. Proc. Letters 18).
+
+    Only +, -, * and the entries' truth value are used, so one routine
+    serves ints and polyring.MultiPoly alike.  With A_r the leading r x r
+    block and A_(r+1) = [[A_r, S], [R, a]], the characteristic polynomials
+    x^r + c_1 x^(r-1) + ... + c_r satisfy
+
+        chi_(r+1) = (x - a) chi_r - R adj(x I - A_r) S,
+
+    a convolution of c with q = (1, -a, -R S, -R A_r S, ..., -R A_r^(r-1) S).
+    det A = (-1)^n c_n.  O(n^4) ring operations; zero products are skipped.
+    """
+    n = len(rows)
     if n == 0:
         return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, tail = m[k][k], m[k][k + 1 :]
-        for i in range(k + 1, n):
-            row = m[i]
-            a = row[k]
-            row[k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    zero = rows[0][0] - rows[0][0]
+
+    def dot(u, v):
+        """sum of u_i * v_i over the shorter of u and v"""
+        total = zero
+        for x, y in zip(u, v):
+            if x and y:
+                total = total + x * y
+        return total
+
+    c = [-rows[0][0]]  # c_1 .. c_r of chi_r; c_0 = 1 is implicit
+    for r in range(1, n):
+        v = [row[r] for row in rows[:r]]  # A_r^k S, of length r
+        q = [-rows[r][r], -dot(rows[r], v)]  # q_1 .. q_(r+1); q_0 = 1 is implicit
+        for _ in range(r - 1):
+            v = [dot(row, v) for row in rows[:r]]
+            q.append(-dot(rows[r], v))
+        c.append(zero)
+        c = [q[m] + c[m] + dot(reversed(q[:m]), c) for m in range(r + 1)]
+    return -c[-1] if n & 1 else c[-1]
 
 
 def mat_solve(rows, rhs):

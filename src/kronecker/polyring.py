@@ -1083,9 +1083,9 @@ _PACKED_BYTES_CAP = 2**20
 def poly_matrix_det(rows):
     """Determinant of a square matrix of MultiPoly entries, exactly.
 
-    Kronecker's device: pack every entry into one integer, run integer
-    Bareiss (linalg.mat_det) once, and read the determinant out of the
-    digits of the result.
+    Kronecker's device: pack every entry into one integer, take one
+    integer determinant (linalg.mat_det), and read the determinant out of
+    the digits of the result.
 
     - Row i is scaled to integers by the lcm d_i of its denominators.
     - Variable v gets the span s_v = 1 + sum over rows of the row's largest
@@ -1094,10 +1094,9 @@ def poly_matrix_det(rows):
       earlier variables: a mixed-radix map that keeps the determinant's
       monomials apart, in S = prod_v s_v slots.
     - By Leibniz, the determinant's l1 norm is at most the permanent of the
-      entries' l1 norms, so at most B = prod_i sum_j |a_ij|_1; the same
-      bound holds for every minor.  A slot is k bits wide, a whole number
-      of bytes with 2^(k-1) > B, so each coefficient is one signed digit
-      in base t = 2^k.
+      entries' l1 norms, so at most B = prod_i sum_j |a_ij|_1.  A slot is
+      k bits wide, a whole number of bytes with 2^(k-1) > B, so each
+      coefficient is one signed digit in base t = 2^k.
     - Evaluating the entries at the slot map is a ring homomorphism, so the
       integer determinant is the packed determinant polynomial.  Adding
       2^(k-1) (t^S - 1)/(t - 1) makes every digit nonnegative, and the
@@ -1108,14 +1107,16 @@ def poly_matrix_det(rows):
     so it has at most P = prod_i |monomials of row i| terms.  When S
     exceeds _SLOTS_PER_TERM * P, the packed integers would be almost all
     zero digits (a sparse determinant in many variables, such as the
-    resultants of elimination.eliminate_step in the U and V weights, where
-    S/P is 40-100), and fraction-free Bareiss on the term maps runs
-    instead, every division exact.  The same happens when one packed
-    entry would take more than _PACKED_BYTES_CAP bytes (slots times
-    width): P counts colliding monomials separately, so it can overestimate
-    the output by orders of magnitude, and Bareiss on integers of millions
-    of slots costs seconds and hundreds of megabytes where the term maps
-    answer in a fraction of a second.
+    resultants of elimination.eliminate_step in the U and V weights: for
+    one 6x6 in 17 variables S/P is 843, and the packed integers would
+    span 12.6 GB), and the determinant is taken on the term maps instead.  The
+    same happens when one packed entry would take more than
+    _PACKED_BYTES_CAP bytes (slots times width): P counts colliding
+    monomials separately, so it can overestimate the output by orders of
+    magnitude; without the cap, `eliminate` on -x - 3*y^2 + 3 and
+    x^2 + x*z - 3*y^2 gets no answer in 60 s, against 0.3 s with it.
+    Both routes run the division-free linalg.berkowitz_det, the term route
+    on the MultiPoly entries themselves, which need no row scaling.
     """
     n = len(rows)
     if n == 0:
@@ -1173,30 +1174,8 @@ def _pack(terms, weights, width):
 
 
 def _poly_matrix_det_terms(m):
-    """Fraction-free Bareiss elimination on term maps; all interior
-    divisions are exact."""
-    n = len(m)
-    m = [list(r) for r in m]
-    variables = m[0][0].variables
-    sign = 1
-    prev = MultiPoly.const(1, variables)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(variables)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = num.div_exact(prev)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    """Division-free determinant on the MultiPoly entries themselves."""
+    return linalg.berkowitz_det(m)
 
 
 def sylvester_matrix(p, q, name):

@@ -79,6 +79,8 @@ PINNED = [
     (["--json", "disc", "--", "1/3*x^3 - 2/5*x + y", "x"], 0, '{"discriminant": "-3*y^2 + 32/375"}\n', ""),
     (["disc", "--", "7/2*x^2 - 1/3*x + 5/6"], 0, "-104/9\n", ""),
     (["--json", "disc", "--", "7/2*x^2 - 1/3*x + 5/6"], 0, '{"discriminant": "-104/9"}\n', ""),
+    (["disc", "--", "5"], 1, "", "error: discriminant requires positive degree\n"),
+    (["--json", "disc", "--", "5"], 1, "", "error: discriminant requires positive degree\n"),
     (["euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
     (["--json", "euler-trace", "--", "(x - 1)^2*(x + 2)", "0"], 1, "", "error: polynomial is not squarefree: derivative not invertible\n"),
     (["resolvent", "--", "2*x^2 + 1"], 1, "", "error: splitting algebra requires a monic polynomial\n"),

@@ -315,3 +315,18 @@ def test_cli_answers_an_input_that_needs_a_redraw():
         rc = main(["eliminate", "--", "y*x", "y*z"])
     assert rc == 0 and err.getvalue() == ""
     assert out.getvalue().splitlines()[:2] == ["codim 1: resolvent y", "  factor: y"]
+
+
+def test_three_lines_from_sparse_term_map_determinants():
+    # the resultants here are sparse in many weight variables, so the
+    # Sylvester determinants run on the term maps, up to 6 x 6
+    from kronecker.elimination import _apply_matrix, _integral_inverse, _verify_parametrization
+
+    gens = parse_polys(["-x*z - 3*y*z - z", "-2*x*y + y*z"])
+    dec = decompose_variety(gens)
+    assert [(p.codim, [str(f) for f in p.factors]) for p in dec.parts] == [(2, ["2*x - z", "x + 1", "z"])]
+    working = [_apply_matrix(g, _integral_inverse(dec.coordinate_change), dec.variables) for g in gens]
+    accepted = [c for c in dec.components if not c.immersed]
+    assert accepted
+    for comp in accepted:
+        assert _verify_parametrization(working, comp, dec.variables)

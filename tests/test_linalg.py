@@ -15,7 +15,7 @@ def _times_linear(poly, root):
 
 
 def _interpolated_charpoly(a):
-    """det(xI - A) at x = 0..n by Bareiss, then Lagrange interpolation."""
+    """det(xI - A) at x = 0..n by mat_det, then Lagrange interpolation."""
     n = len(a)
     points = range(n + 1)
     out = [Fraction(0)] * (n + 1)
@@ -85,10 +85,16 @@ def test_integer_det_matches_fraction_det():
         a = [[rng.choice((0, rng.randint(-(10**6), 10**6))) for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.2:
             a[-1] = list(a[0])
+        shape = rng.random()
+        if shape < 0.15:
+            for r in a:
+                r[0] = 0  # a zero leading column
+        elif shape < 0.3:
+            a[0][0] = 0  # a zero first pivot
         det = linalg.mat_det(a)
         frac = linalg.mat_det([[Fraction(x) for x in r] for r in a])
         assert type(det) is int and isinstance(frac, Fraction)
-        assert det == frac == _leibniz(a)
+        assert det == frac == _leibniz(a) == linalg.berkowitz_det([tuple(r) for r in a])
         r = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
         assert linalg.mat_det(r) == _leibniz(r)
 
@@ -138,8 +144,8 @@ def test_structured_matrices():
 
 
 def test_resolvent_matrix_of_x5_minus_2():
-    """The 120 x 120 total-resolvent matrix; 121 Bareiss determinants of this
-    size would take minutes, so the reference is Faddeev-LeVerrier."""
+    """The 120 x 120 total-resolvent matrix; 121 determinants of this size
+    would take minutes, so the reference is Faddeev-LeVerrier."""
     alg = SplittingAlgebra(UniPoly("x", [-2, 0, 0, 0, 0, 1]))
     ell = MultiPoly.zero(alg.variables)
     for u, r in zip(range(5), alg.roots()):

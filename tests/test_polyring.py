@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: parser, gcd, resultants, substitution."""
 
+import itertools
 import math
 import random
 import time
@@ -306,6 +307,37 @@ def _rand_entry(rng, nvars, den):
     return rand_poly(rng, nvars, 2, rng.randint(1, 4), 20, den)
 
 
+def _leibniz_det(rows):
+    """Reference determinant of MultiPoly rows: the signed sum over
+    permutations of the products of one entry from each row."""
+    n = len(rows)
+    total = MultiPoly.zero(rows[0][0].variables) if n else MultiPoly.const(1)
+    for perm in itertools.permutations(range(n)):
+        factors = [rows[i][j] for i, j in enumerate(perm)]
+        if not all(factors):
+            continue
+        term = factors[0]
+        for f in factors[1:]:
+            term = term * f
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _term_route_calls(monkeypatch):
+    """A list that records the size of every matrix that poly_matrix_det
+    sends to the term maps."""
+    calls = []
+    route = polyring._poly_matrix_det_terms
+
+    def counted(rows):
+        calls.append(len(rows))
+        return route(rows)
+
+    monkeypatch.setattr(polyring, "_poly_matrix_det_terms", counted)
+    return calls
+
+
 def test_packed_det_matches_term_bareiss():
     rng = random.Random(31)
     for _ in range(150):
@@ -315,7 +347,57 @@ def test_packed_det_matches_term_bareiss():
         for _ in range(n):
             den = rng.choice((1, 1, 6))
             rows.append([_rand_entry(rng, nvars, den) for _ in range(n)])
-        assert poly_matrix_det(rows) == polyring._poly_matrix_det_terms(rows)
+        assert poly_matrix_det(rows) == polyring._poly_matrix_det_terms(rows) == _leibniz_det(rows)
+
+
+def test_det_gate_cases_on_both_routes():
+    names = ("x", "y", "z")
+    x, y, z = (MultiPoly.var(v, names) for v in names)
+    zero, one = MultiPoly.zero(names), MultiPoly.const(1, names)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        ([[zero, x], [y, one]], -x * y),  # a zero first pivot
+        ([[zero, x, y], [zero, y, z], [x, one, z]], x * (x * z - y * y)),  # zero leading column above the last row
+        ([[x, y], [zero, zero]], zero),  # a zero row
+        ([[zero] * 3 for _ in range(3)], zero),
+        ([[MultiPoly.const(2), MultiPoly.const(-3)], [MultiPoly.const(5), MultiPoly.const(7)]], MultiPoly.const(29)),
+        ([[one * 4]], one * 4),
+        ([[x * half + third, y * -half], [z * third, x - half]], None),  # rational rows
+        ([[x * half, y * third, one], [z, x * third, y * half], [one * third, z * half, x]], None),
+    ]
+    for rows, expect in cases:
+        det = _leibniz_det(rows)
+        assert poly_matrix_det(rows) == polyring._poly_matrix_det_terms(rows) == det
+        assert expect is None or det == expect
+
+
+def _sparse_entry(rng, names):
+    """Zero, or one or two monomials in at most two variables of degree up
+    to 4, with rational coefficients and sometimes a constant term."""
+    if rng.random() < 0.3:
+        return MultiPoly.zero(names)
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        e = [0] * len(names)
+        for v in rng.sample(range(len(names)), min(2, len(names))):
+            e[v] = rng.randint(1, 4)
+        terms[tuple(e)] = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+    if rng.random() < 0.3:
+        terms[(0,) * len(names)] = rng.randint(-4, 4)
+    return MultiPoly(names, terms)
+
+
+def test_sparse_det_in_1_to_19_variables(monkeypatch):
+    calls = _term_route_calls(monkeypatch)
+    rng = random.Random(41)
+    for nvars in range(1, 20):
+        names = tuple(f"a{i}" for i in range(nvars))
+        n = rng.randint(2, 4)
+        rows = [[_sparse_entry(rng, names) for _ in range(n)] for _ in range(n)]
+        before = len(calls)
+        assert poly_matrix_det(rows) == _leibniz_det(rows)
+        # past one variable the slots outnumber the terms, so the term maps run
+        assert len(calls) - before == (nvars > 1)
 
 
 def test_packed_det_at_digit_boundaries():
@@ -331,24 +413,16 @@ def test_packed_det_at_digit_boundaries():
 
 
 def test_sparse_det_past_the_slot_cap_uses_term_bareiss(monkeypatch):
-    calls = []
-    reference = polyring._poly_matrix_det_terms
-
-    def counted(rows):
-        calls.append(len(rows))
-        return reference(rows)
-
-    monkeypatch.setattr(polyring, "_poly_matrix_det_terms", counted)
+    calls = _term_route_calls(monkeypatch)
     names = tuple(f"a{i}" for i in range(12))
     rows = [[MultiPoly.var(names[3 * i + j], names) + (i - j) for j in range(3)] for i in range(3)]
     rows[2][0] = rows[2][0] * MultiPoly.var("a11", names) ** 3
     det = poly_matrix_det(rows)
     assert calls == [3]
-    assert det == reference(rows)
+    assert det == _leibniz_det(rows)
 
 
 def test_resultant_and_disc_match_the_term_route():
-    reference = polyring._poly_matrix_det_terms
     rng = random.Random(37)
     checked = 0
     for _ in range(30):
@@ -356,10 +430,10 @@ def test_resultant_and_disc_match_the_term_route():
         q = rand_poly(rng, 3, 3, rng.randint(2, 9), 5)
         if p.degree("x") < 1 or q.degree("x") < 1:
             continue
-        assert resultant(p, q, "x") == reference(sylvester_matrix(p, q, "x"))
+        assert resultant(p, q, "x") == _leibniz_det(sylvester_matrix(p, q, "x"))
         m = p.degree("x")
         if m >= 2:
-            expect = reference(sylvester_matrix(p, p.derivative("x"), "x")).div_exact(p.coeffs_in("x")[m])
+            expect = _leibniz_det(sylvester_matrix(p, p.derivative("x"), "x")).div_exact(p.coeffs_in("x")[m])
             assert discriminant(p, "x") == (-expect if (m * (m - 1) // 2) % 2 else expect)
         checked += 1
     assert checked >= 20
@@ -584,14 +658,7 @@ def test_parse_polys_shares_the_variable_order():
 def test_det_at_the_packed_byte_cap(monkeypatch, spans, packed):
     # [[x^a, y^b], [y^c, x^d + 1]] has one-byte slots and (1 + a + d) * (1 + b + c)
     # of them: 2^20 bytes packs, 2^20 + 1 bytes goes to the term maps
-    calls = []
-    reference = polyring._poly_matrix_det_terms
-
-    def counted(rows):
-        calls.append(len(rows))
-        return reference(rows)
-
-    monkeypatch.setattr(polyring, "_poly_matrix_det_terms", counted)
+    calls = _term_route_calls(monkeypatch)
     monkeypatch.setattr(polyring, "_SLOTS_PER_TERM", 2**40)  # only the byte cap decides
     names = ("x", "y")
     x, y = MultiPoly.var("x", names), MultiPoly.var("y", names)
@@ -601,7 +668,7 @@ def test_det_at_the_packed_byte_cap(monkeypatch, spans, packed):
     rows = [[x**a, y**b], [y**c, x**d + 1]]
     det = poly_matrix_det(rows)
     assert calls == ([] if packed else [2])
-    assert det == reference(rows) == x ** (a + d) + x**a - y ** (b + c)
+    assert det == _leibniz_det(rows) == x ** (a + d) + x**a - y ** (b + c)
 
 
 # -- the integer carrier against a Fraction term-map reference ----------------

@@ -100,3 +100,29 @@ def test_term_kernels_never_name_fraction():
         or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
     )
     assert not naming, f"term kernels that name Fraction: {naming}"
+
+
+def _divisions(fn):
+    """Division operators and dividing calls inside one function's AST."""
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
+            found.append(type(node.op).__name__)
+        elif isinstance(node, ast.Name) and node.id in ("divmod", "div_exact"):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("divmod", "div_exact"):
+            found.append(node.attr)
+    return found
+
+
+def test_determinant_is_division_free():
+    # poly_matrix_det's term route runs berkowitz_det on MultiPoly entries,
+    # where every exact division is a term-map long division; the route is
+    # fast because the determinant makes none
+    routines = {"linalg.py": "berkowitz_det", "polyring.py": "_poly_matrix_det_terms"}
+    for module, name in routines.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        fn = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
+        assert not _divisions(fn), f"{name} divides: {_divisions(fn)}"
+    for sample in ("a / b", "a // b", "a % b", "x %= b", "divmod(a, b)", "a.div_exact(b)"):
+        assert _divisions(ast.parse(f"def f(a, b):\n    x = 1\n    {sample}\n").body[0]), sample
