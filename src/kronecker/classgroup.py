@@ -1,12 +1,26 @@
 """Class numbers of imaginary quadratic fields at desk scale.
 
 Classes are generated by the prime divisors of norm at most
-M = ceil((2/pi) sqrt|disc|); principality of a divisor of norm N is decided
-by exhaustive search over the elements of norm N (the definite norm form
-a^2 + |d| b^2 = N, or a^2 + |disc| b^2 = 4N for half-integer coefficients),
-and two divisors fall in the same class exactly when one times the
-conjugate of the other is principal.  Everything reduces to the divisor
-module's exact divisibility tests.
+M = ceil((2/pi) sqrt|disc|).  `quadratic_field` builds the maximal order, in
+which every divisor class holds exactly one reduced binary quadratic form of
+discriminant disc (Gauss; Cohen, A Course in Computational Algebraic Number
+Theory, section 5.2).  Each divisor the search handles is keyed by that
+form: a prime divisor (p, t - r) by (p, 2r - 1, (r^2 - r + (1-d)/4)/p) when
+d = 1 mod 4 and by (p, 2r, (r^2 - d)/p) otherwise, an inert prime by the
+identity form, and a product by the reduced Dirichlet composition of the
+keys of its factors.  Class lookup, closure and element orders are integer
+work, and two divisors with different keys lie in different classes by the
+uniqueness of reduced forms.
+
+The paper's divisor arithmetic certifies the rest.  Principality of a
+divisor of norm N is decided by exhaustive search over the elements of
+norm N (the definite norm form a^2 + |d| b^2 = N, or a^2 + |disc| b^2 = 4N
+for half-integer coefficients), through the divisor module's exact
+divisibility tests.  Two facts are checked that way, and a failure raises
+AlgebraError: a small prime divisor D whose key names an existing class
+with representative R makes D * conj(R) principal (D itself for the
+principal class), and a representative of order k > 1 has a principal
+k-th power.
 """
 
 from dataclasses import dataclass, field
@@ -36,8 +50,6 @@ class ClassGroupResult:
     bound: int
     field: NumberField
     class_representatives: list = field(default_factory=list)  # (form, norm, order)
-    generator: DivisorForm = None
-    generator_order: int = 0
 
     def to_json(self):
         return {
@@ -118,8 +130,89 @@ def _ramified_divisor(field, p):
     return PrimeDivisor(p, lift, form, True, {})
 
 
+def _small_prime_divisors(field, disc, bound):
+    """The prime divisors of norm at most bound, by rational prime."""
+    small = []
+    for p in primes.primes_up_to(bound):
+        if disc % p == 0:
+            small.append(_ramified_divisor(field, p))
+        else:
+            small.extend(pd for pd in decompose_prime(field, p) if pd.norm() <= bound)
+    return small
+
+
+def _reduce_form(a, b, c):
+    """The reduced form equivalent to the positive definite (a, b, c):
+    |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen, Alg. 5.4.2)."""
+    while True:
+        if not -a < b <= a:
+            q, r = divmod(b, 2 * a)
+            if r > a:
+                q, r = q + 1, r - 2 * a
+            b, c = r, c - q * (b + r) // 2
+        if a <= c:
+            return (a, -b, c) if a == c and b < 0 else (a, b, c)
+        a, b, c = c, -b, a
+
+
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _compose(f, g, disc):
+    """The reduced Dirichlet composition of two primitive positive definite
+    forms of discriminant disc (Cohen, Alg. 5.4.7)."""
+    (a1, b1, _), (a2, b2, c2) = f, g
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d, y1, _ = _xgcd(a2, a1)
+    d1, x2, v = _xgcd(s, d)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * v * n - x2 * c2) % v1
+    a3, b3 = v1 * v2, b2 + 2 * v2 * r
+    return _reduce_form(a3, b3, (b3 * b3 - disc) // (4 * a3))
+
+
+def _identity_form(disc):
+    return (1, disc % 2, (disc % 2 - disc) // 4)
+
+
+def _prime_form(p, local_factor, d):
+    """The reduced form keying the prime divisor p + u*local_factor(theta)
+    of Q(sqrt d): the identity for an inert p, else the form of the ideal
+    (p, theta - r) at the root r of the monic linear local factor."""
+    disc = d if d % 4 == 1 else 4 * d
+    if local_factor.degree != 1:
+        return _identity_form(disc)
+    r = -int(local_factor.coeffs[0]) % p
+    if d % 4 == 1:
+        return _reduce_form(p, 2 * r - 1, (r * r - r + (1 - d) // 4) // p)
+    return _reduce_form(p, 2 * r, (r * r - d) // p)
+
+
+def _form_order(key, disc):
+    """The number of compositions of key with itself that reach the identity."""
+    one = _identity_form(disc)
+    k, power = 1, key
+    while power != one:
+        k, power = k + 1, _compose(power, key, disc)
+    return k
+
+
 def class_number_imag_quadratic(d):
-    """Kronecker-style class group of Q(sqrt d), d < 0 squarefree."""
+    """Kronecker-style class group of Q(sqrt d), d < 0 squarefree.
+
+    Representatives are the first divisors met in each class: the small
+    prime divisors in order, then products rep * prime in closure passes.
+    Classes are told apart by their reduced forms; the divisor arithmetic
+    certifies each prime divisor that lands in an existing class and the
+    order of each representative (see the module docstring).
+    """
     if d >= 0:
         raise DomainError("imaginary quadratic fields need d < 0")
     if abs(d) > MAX_ABS_D:
@@ -129,64 +222,38 @@ def class_number_imag_quadratic(d):
     fieldK = quadratic_field(d)
     disc = d if d % 4 == 1 else 4 * d
     bound = ceil((2 / pi) * abs(disc) ** 0.5)
-    small = []
-    for p in primes.primes_up_to(bound):
-        if disc % p == 0:
-            small.append(_ramified_divisor(fieldK, p))
-        else:
-            for pd in decompose_prime(fieldK, p):
-                if pd.norm() <= bound:
-                    small.append(pd)
-    # classify by relative equivalence: same class iff D1 * conj(D2) principal
-    one = DivisorForm.constant(fieldK, 1)
-    reps = [one]
-
-    def class_of(form):
-        if principal_generator(form, d) is not None:
-            return 0
-        for i, rep in enumerate(reps):
-            if i == 0:
-                continue
-            if principal_generator(form * rep.conj_quadratic(), d) is not None:
-                return i
-        reps.append(form)
-        return len(reps) - 1
-
-    prime_forms = [pd.form for pd in small]
-    for f in prime_forms:
-        class_of(f)
-    # close under multiplication
+    small = _small_prime_divisors(fieldK, disc, bound)
+    # representative of each class by its reduced form; the principal class first
+    one = _identity_form(disc)
+    classes = {one: DivisorForm.constant(fieldK, 1)}
+    prime_keys = []
+    for pd in small:
+        key = _prime_form(pd.p, pd.local_factor, d)
+        prime_keys.append(key)
+        rep = classes.get(key)
+        if rep is None:
+            classes[key] = pd.form
+            continue
+        quotient = pd.form if key == one else pd.form * rep.conj_quadratic()
+        if principal_generator(quotient, d) is None:
+            raise AlgebraError(f"prime divisor {pd.form} is not in the class of {rep}")
+    # close under multiplication by the small prime divisors
     changed = True
     while changed:
         changed = False
-        snapshot = list(reps)
-        for a in snapshot[1:]:
-            for f in prime_forms:
-                before = len(reps)
-                class_of(a * f)
-                if len(reps) != before:
+        for key, rep in list(classes.items())[1:]:
+            for pd, pkey in zip(small, prime_keys):
+                product = _compose(key, pkey, disc)
+                if product not in classes:
+                    classes[product] = rep * pd.form
                     changed = True
-    h = len(reps)
+    h = len(classes)
     result = ClassGroupResult(d, disc, h, bound, fieldK)
-    for rep in reps:
-        n = _norm_of(rep)
-        order = _order_of(rep, d, h)
-        result.class_representatives.append((rep, n, order))
-        if order == h and result.generator is None and h > 1:
-            result.generator = rep
-            result.generator_order = order
-    if result.generator is None:
-        result.generator = one
-        result.generator_order = 1
+    for key, rep in classes.items():
+        order = _form_order(key, disc)
+        if h % order:
+            raise AlgebraError("element order does not divide the class number")
+        if order > 1 and principal_generator(rep**order, d) is None:
+            raise AlgebraError(f"{rep} to the power {order} is not principal")
+        result.class_representatives.append((rep, _norm_of(rep), order))
     return result
-
-
-def _order_of(form, d, h):
-    power = form
-    for k in range(1, h + 1):
-        if principal_generator(power, d) is not None:
-            if h % k:
-                raise AlgebraError("element order does not divide the class number")
-            return k
-        power = power * form
-    raise AlgebraError("order exceeds the class number: grouping is inconsistent")
