@@ -67,7 +67,7 @@ class ClassGroupResult:
 def quadratic_field(d):
     """The monogenic order for Q(sqrt(d)): Z[(1+sqrt d)/2] when d = 1 mod 4."""
     if d % 4 == 1:
-        minpoly = UniPoly("t", [Fraction(1 - d, 4), -1, 1])
+        minpoly = UniPoly("t", [(1 - d) // 4, -1, 1])
     else:
         minpoly = UniPoly("t", [-d, 0, 1])
     return NumberField(minpoly)
@@ -120,7 +120,7 @@ def principal_generator(form, d):
 
 def _ramified_divisor(field, p):
     """The divisor above a ramified prime via the double root mod p."""
-    _, factors = modp.factor([int(c) for c in field.minpoly.coeffs], p)
+    _, factors = modp.factor(field.minpoly.num, p)
     if [(len(g), mult) for g, mult in factors] != [(2, 2)]:
         raise AlgebraError(f"ramified prime {p}: expected a double linear factor mod p")
     lift = UniPoly(field.minpoly.variable, factors[0][0])
@@ -189,7 +189,7 @@ def _prime_form(p, local_factor, d):
     disc = d if d % 4 == 1 else 4 * d
     if local_factor.degree != 1:
         return _identity_form(disc)
-    r = -int(local_factor.coeffs[0]) % p
+    r = -local_factor.num[0] % p
     if d % 4 == 1:
         return _reduce_form(p, 2 * r - 1, (r * r - r + (1 - d) // 4) // p)
     return _reduce_form(p, 2 * r, (r * r - d) // p)

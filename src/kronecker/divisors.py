@@ -30,7 +30,7 @@ from math import lcm as int_lcm
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.numberfield import AlgNum, NumberField, is_integral
+from kronecker.numberfield import AlgNum, is_integral
 from kronecker.polyring import MultiPoly, UniPoly, _grlex_key, divide_terms, power, resultant
 
 
@@ -385,7 +385,7 @@ class PrimeDivisor:
         return {
             "p": self.p,
             "f": self.f,
-            "local_factor": [int(c) for c in self.local_factor.coeffs],
+            "local_factor": list(self.local_factor.num),
             "certified": self.certified,
         }
 
@@ -394,10 +394,6 @@ class PrimeDivisor:
 
     def __repr__(self):
         return f"PrimeDivisor(p={self.p}, f={self.f}, {self.form})"
-
-
-def _lift_modp(coeffs, var):
-    return UniPoly(var, [int(c) for c in coeffs])
 
 
 def decompose_prime(field, p):
@@ -417,11 +413,11 @@ def decompose_prime(field, p):
             "outside the unramified hypothesis"
         )
     var = field.minpoly.variable
-    _, factors = modp.factor([int(c) for c in field.minpoly.coeffs], p)
+    _, factors = modp.factor(field.minpoly.num, p)
     if any(m != 1 for _, m in factors):
         raise AlgebraError("unramified prime with repeated factor")
     residues = [g for g, _ in factors]
-    lifts = [_lift_modp(g, var) for g in residues]
+    lifts = [UniPoly(var, g) for g in residues]
     theta = field.gen()
     out = []
     for i, lift in enumerate(lifts):
@@ -437,8 +433,8 @@ def decompose_prime(field, p):
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
             A, B, C = modp.ext_euclid(residues[i], residues[j], p)
-            a_poly = _lift_modp(A, var)
-            b_poly = _lift_modp(B, var)
+            a_poly = UniPoly(var, A)
+            b_poly = UniPoly(var, B)
             combo = a_poly * lifts[i] + b_poly * lifts[j] - C
             E = combo * Fraction(1, p)
             if not E.has_integer_coeffs():

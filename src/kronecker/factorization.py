@@ -34,7 +34,7 @@ factors).  Every factorization is checked by multiplying it back out.
 
 import itertools
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
@@ -86,7 +86,7 @@ class ModPFactorization:
 
     def __init__(self, p, factors):
         self.p = p
-        self.factors = sorted(factors, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        self.factors = sorted(factors, key=lambda fm: (fm[0].degree, fm[0].num))
 
     def __str__(self):
         parts = [
@@ -141,13 +141,13 @@ def _extract_integer_roots(f):
     found = []
     cands = set()
     # rational root theorem on the primitive integer polynomial
-    k0 = next(i for i, c in enumerate(f.coeffs) if c)
+    k0 = next(i for i, c in enumerate(f.num) if c)
     for _ in range(k0):
         found.append(UniPoly(f.variable, [0, 1]))
         f = f.div_exact(UniPoly(f.variable, [0, 1]))
     if f.degree >= 1:
-        for pnum in primes.divisors(int(f.coeffs[0].numerator) or 1):
-            for qden in primes.divisors(int(f.coeffs[-1].numerator)):
+        for pnum in primes.divisors(f.num[0]):
+            for qden in primes.divisors(f.num[-1]):
                 for s in (1, -1):
                     cands.add(Fraction(s * pnum, qden))
         for r in sorted(cands, key=lambda v: (abs(v), v < 0)):
@@ -180,7 +180,7 @@ def _search_factor(f, degree):
             raise AlgebraError("rational roots must be extracted beforehand")
         pts.append(r)
         vals.append(int(v))
-    lcf = int(f.coeffs[-1])
+    lcf = f.num[-1]
     choice_lists = [_signed_divisors(v) for v in vals]
     space = 1
     for lst in choice_lists:
@@ -196,9 +196,7 @@ def _search_factor(f, degree):
         cand = _interpolate(pts, tup)
         if cand.degree != degree:
             continue
-        if any(c.denominator != 1 for c in cand.coeffs):
-            continue
-        if lcf % int(cand.coeffs[-1]):
+        if cand.den != 1 or lcf % cand.num[-1]:
             continue
         if f.div_exact(cand) is not None:
             _, prim = cand.content_primitive()
@@ -279,8 +277,8 @@ def _exact_quotient(a, b):
 
 def _primitive(f):
     """Primitive part of a nonzero integer coefficient list, lc > 0."""
-    ints = polyring._primitive_ints(f)[1]
-    return ints if ints[-1] > 0 else [-c for c in ints]
+    g = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [c // g for c in f]
 
 
 def _recombine(F, lifted, m):
@@ -319,7 +317,7 @@ def _recombine(F, lifted, m):
 def _factor_squarefree(f):
     """Irreducible factors of a primitive squarefree integer polynomial, by
     Zassenhaus's modular route."""
-    F = [int(c) for c in f.coeffs]
+    F = f.num
     if len(F) <= 2:
         return [f]
     p = _good_prime(F)
@@ -364,7 +362,7 @@ def _factor_univariate_with(F, split):
     rebuilt = UniPoly(F.variable, [1])
     for g, m in pieces:
         rebuilt = rebuilt * g**m
-    unit = F.coeffs[-1] / rebuilt.coeffs[-1]
+    unit = F.lc() / rebuilt.lc()
     out = Factorization(unit, [(g.to_multipoly(), m) for g, m in pieces])
     if UniPoly.from_multipoly(out.expand(), F.variable) != F:
         raise AlgebraError("factors do not multiply back to the input")
@@ -517,9 +515,9 @@ def factor_mod_p(F, p):
         raise DomainError(f"{p} is not prime")
     if not F.has_integer_coeffs():
         raise DomainError("mod-p factorization needs integer coefficients")
-    if not F.coeffs or int(F.coeffs[-1]) % p == 0:
+    if not F.num or F.num[-1] % p == 0:
         raise DomainError("leading coefficient vanishes mod p")
-    _, factors = modp.factor([int(c) for c in F.coeffs], p)
+    _, factors = modp.factor(F.num, p)
     out = ModPFactorization(p, [(UniPoly(F.variable, g), k) for g, k in factors])
     if sum(g.degree * k for g, k in out.factors) != F.degree:
         raise AlgebraError("mod-p factor degrees do not add up to the degree")

@@ -169,7 +169,7 @@ def resolvent_total_symmetric(f, u):
         raise DomainError("need one weight per root")
     u = [Fraction(ui) for ui in u]
     if f.has_integer_coeffs() and all(ui.denominator == 1 for ui in u) and _squarefree(f):
-        F = [int(c) for c in f.coeffs]
+        F = f.num
         return _resolvent(*_lifted_root_sums(F, [int(ui) for ui in u], _split_prime(F)))
     alg = SplittingAlgebra(f)
     ell = MultiPoly.zero(alg.variables)
@@ -403,39 +403,30 @@ class GaloisResult:
 
 
 def _monic_integer_model(f):
-    """Monic integer polynomial with the same splitting field and root order
-    (roots scale by the leading coefficient of the cleared form)."""
-    scale, prim = f.content_primitive()
-    a = int(prim.coeffs[-1])
-    n = prim.degree
-    if a == 1:
-        return prim
-    coeffs = [c * Fraction(a) ** (n - 1 - k) for k, c in enumerate(prim.coeffs)]
-    out = UniPoly(f.variable, coeffs)
-    if not (out.is_monic() and out.has_integer_coeffs()):
-        raise AlgebraError("monic integer model is not monic with integer coefficients")
-    return out
+    """Monic integer polynomial with the same splitting field and root order:
+    a^(n-1) f(x/a) for the primitive part f of degree n and leading
+    coefficient a, whose roots are a times those of f."""
+    prim = f.content_primitive()[1]
+    a, n = prim.num[-1], prim.degree
+    return UniPoly(f.variable, [c * a ** (n - 1 - k) for k, c in enumerate(prim.num[:-1])] + [1])
 
 
 def _squarefree(r):
-    """Exact squarefreeness of an integer univariate polynomial.
+    """Exact squarefreeness of a univariate polynomial over Q.
 
-    gcd(r, r') = 1 mod p already implies coprimality over Q, so a few
-    mod-p probes settle the common case cheaply; inconclusive probes fall
-    back to the gcd over Q.
+    r.num and r'.num are r and r' up to constant factors, so when p does
+    not divide lc(r.num), their gcd being 1 mod p already implies
+    coprimality over Q; a few mod-p probes settle the common case cheaply,
+    and inconclusive probes fall back to the gcd over Q.
     """
     dr = r.derivative()
     if dr.is_zero:
         return r.degree <= 0
-    if r.has_integer_coeffs():
-        p = 10007
-        for _ in range(6):
-            if int(r.coeffs[-1]) % p:
-                a = [int(c) for c in r.coeffs]
-                b = [int(c) for c in dr.coeffs]
-                if len(modp.gcd(a, b, p)) == 1:
-                    return True
-            p = primes.next_prime(p)
+    p = 10007
+    for _ in range(6):
+        if r.num[-1] % p and len(modp.gcd(r.num, dr.num, p)) == 1:
+            return True
+        p = primes.next_prime(p)
     return r.gcd(dr).degree == 0
 
 
@@ -460,7 +451,7 @@ def galois_group(f, u=None):
         raise DomainError(f"degree capped at {MAX_DEGREE}")
     if not is_irreducible(f):
         raise DomainError("polynomial is reducible: the group is defined for irreducible input")
-    F = [int(c) for c in _monic_integer_model(f).coeffs]
+    F = _monic_integer_model(f).num
     if u is None:
         u = tuple(range(n))
     u = tuple(int(x) for x in u)
@@ -494,7 +485,7 @@ def _identify_group(F, u, resolvent, p, values, m):
         values, m = _lifted_root_sums(F, u, p)
     values = dict(zip(perms, values))
     beta = _beta(F, u)
-    target = [int(c) for c in resolvent.coeffs]
+    target = resolvent.num
     for H in _transitive_subgroups(n):
         g = _orbit_polynomial(values, H, m)
         if not _within_bounds(g, beta) or _exact_quotient(target, g) is None:

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra: determinants, solving, charpoly.
+"""Exact dense linear algebra: determinants, products, charpoly.
 
 berkowitz_det, the package's one determinant, is division-free, so it runs
 on ints and on polyring.MultiPoly entries alike."""
@@ -8,7 +8,6 @@ from math import isqrt, lcm
 from operator import mul
 
 from kronecker import primes
-from kronecker.errors import AlgebraError
 
 # Exponents q of every Mersenne prime 2^q - 1 up to 2^1279 - 1.
 MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279)
@@ -70,28 +69,6 @@ def berkowitz_det(rows):
         c.append(zero)
         c = [q[m] + c[m] + dot(reversed(q[:m]), c) for m in range(r + 1)]
     return -c[-1] if n & 1 else c[-1]
-
-
-def mat_solve(rows, rhs):
-    """Solve A x = b exactly; raises on singular A."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            raise AlgebraError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
 
 
 def mat_mul(a, b):

@@ -63,7 +63,7 @@ class NumberField:
                 raise DomainError("degenerate defining polynomial (zero discriminant)")
         # integer reduction table: row k is theta^(n+k) in the power basis;
         # products need k = 0 .. n-2, longer inputs extend it on demand
-        self._power_table = [[-int(c) for c in minpoly.coeffs[:-1]]]
+        self._power_table = [[-c for c in minpoly.num[:-1]]]
         self._power_rows(self.degree - 1)
 
     def _power_rows(self, count):
@@ -118,7 +118,7 @@ class NumberField:
     def from_int_poly(self, poly):
         """Element from a polynomial in theta (UniPoly or coefficient list)."""
         if isinstance(poly, UniPoly):
-            poly = list(poly.coeffs)
+            return self._reduce(list(poly.num), poly.den)
         return self.element(list(poly))
 
     def element_from_multipoly(self, p, name):
@@ -236,7 +236,7 @@ class AlgNum:
         if self.is_zero:
             raise ZeroDivisionError("division by zero in the number field")
         minpoly = self.field.minpoly
-        return self.field.from_int_poly(UniPoly(minpoly.variable, self.coords).inverse_mod(minpoly))
+        return self.field.from_int_poly(UniPoly(minpoly.variable, self.num, self.den).inverse_mod(minpoly))
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
@@ -258,9 +258,7 @@ class AlgNum:
         return sum(m[i][i] for i in range(n))
 
     def norm(self):
-        n = self.field.degree
-        cp = self.charpoly()
-        return (-1) ** n * cp.coeffs[0] if cp.coeffs else _ZERO
+        return (-1) ** self.field.degree * self.charpoly()[0]
 
     def minimal_polynomial(self):
         """True minimal polynomial: the squarefree part of the charpoly."""
@@ -270,7 +268,7 @@ class AlgNum:
         """Image under the nontrivial automorphism of a quadratic field."""
         if self.field.degree != 2:
             raise DomainError("conjugation shortcut requires a quadratic field")
-        s = -int(self.field.minpoly.coeffs[1])  # theta + conj(theta)
+        s = -self.field.minpoly.num[1]  # theta + conj(theta)
         a, b = self.num
         return _make(self.field, [a + b * s, -b], self.den)
 
@@ -285,8 +283,8 @@ def norm_trace_minpoly(a):
     """(norm, trace, minimal polynomial) of an element."""
     cp = a.charpoly()
     n = a.field.degree
-    nm = (-1) ** n * cp.coeffs[0]
-    tr = -cp.coeffs[n - 1] if n >= 1 else _ZERO
+    nm = (-1) ** n * cp[0]
+    tr = -cp[n - 1]
     return nm, tr, a.minimal_polynomial()
 
 

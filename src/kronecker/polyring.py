@@ -1,15 +1,22 @@
 """Sparse multivariate and dense univariate polynomials over Q, exactly.
 
-MultiPoly is the universal carrier: variables are an ordered name tuple, and
-the polynomial is one integer term map ``num`` (exponent tuples to nonzero
-ints) over one positive integer denominator ``den``.  It is kept in the
-normal form that numberfield.AlgNum shares, gcd(den, *num) = 1 with zero
-stored as ({}, 1) (Cohen, A Course in Computational Algebraic Number Theory,
-§4.2), so the term kernels and exact division run on integers.  Fractions
-appear only at the API edge: the constructor takes ints and Fractions, and
-``terms``, ``lc`` and ``constant_value`` return Fractions.  The canonical
-term order is graded lexicographic with respect to the declared variable
-order; printing follows it, so equal polynomials print identically.
+Every carrier of rationals in the package has one normal form, made by
+normal_form: integer numerators over one positive integer denominator den,
+with gcd(den, *numerators) = 1 and zero stored with den = 1 (Cohen, A Course
+in Computational Algebraic Number Theory, §4.2).
+
+- MultiPoly, the universal carrier: an ordered variable-name tuple and the
+  term map ``num`` from exponent tuples to nonzero ints over ``den``.
+- UniPoly, the one-variable dense case: the int tuple ``num`` from the
+  constant term up, with no trailing zero, over ``den``.
+- numberfield.AlgNum: the int vector of power-basis coordinates over ``den``.
+
+So the term kernels, products, exact and long division run on integers.
+Fractions appear only at the API edge: the constructors take ints and
+Fractions, and ``terms``, ``coeffs``, ``lc``, ``constant_value``, ``eval``
+and ``eval_at`` return Fractions.  The canonical term order of MultiPoly is
+graded lexicographic with respect to the declared variable order; printing
+follows it, so equal polynomials print identically.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -31,7 +38,7 @@ def normal_form(coeffs, den=1):
     """(nums, den): the rationals c / den for c in the sequence coeffs, ints
     or Fractions, as a tuple of ints over one positive denominator with
     gcd(den, *nums) = 1; when every c is zero, den = 1.  The normal form of
-    MultiPoly and numberfield.AlgNum.  den is a positive int.
+    MultiPoly, UniPoly and numberfield.AlgNum.  den is a positive int.
 
     Over the least common denominator of Fractions in lowest terms the
     numerators already share no prime with it, so only den can bring a
@@ -139,15 +146,6 @@ def power(base, k, one):
         if k:
             base = base * base
     return out
-
-
-def _primitive_ints(coeffs):
-    """(content, ints): the positive rational content of nonzero Fraction
-    coefficients and the coprime integers c / content, in order."""
-    den = int_lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = int_gcd(*nums)
-    return Fraction(g, den), [n // g for n in nums]
 
 
 class MultiPoly:
@@ -503,16 +501,22 @@ class MultiPoly:
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficients low to high, exact rationals."""
+    """Dense univariate polynomial over Q in the normal form of MultiPoly:
+    ``num``, a tuple of ints from the constant term up with no trailing
+    zero, over ``den``, a positive int, with gcd(den, *num) = 1; zero is
+    ((), 1).  Sums, products and division run on ints; ``coeffs``, ``lc``,
+    ``p[k]`` and ``eval`` return Fractions."""
 
-    __slots__ = ("variable", "coeffs")
+    __slots__ = ("variable", "num", "den")
 
-    def __init__(self, variable, coeffs):
-        self.variable = variable
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, variable, coeffs, den=1):
+        """coeffs / den: coeffs a sequence of ints or Fractions, low to
+        high, and den a positive int."""
+        num, self.den = normal_form(coeffs, den)
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        self.variable, self.num = variable, num[:n]
 
     @classmethod
     def from_multipoly(cls, p, variable=None):
@@ -525,90 +529,96 @@ class UniPoly:
         for e, c in p.num.items():
             k = e[p.variables.index(variable)] if variable in p.variables else 0
             out[k] += c
-        return cls(variable, [Fraction(c, p.den) for c in out])
+        return cls(variable, out, p.den)
 
     def to_multipoly(self, variables=None):
         if variables is None:
             variables = (self.variable,)
         i = variables.index(self.variable)
-        nums, den = normal_form(self.coeffs)
         num = {}
-        for k, c in enumerate(nums):
+        for k, c in enumerate(self.num):
             if c:
                 e = [0] * len(variables)
                 e[i] = k
                 num[tuple(e)] = c
-        return MultiPoly.from_ints(variables, num, den)
+        return MultiPoly.from_ints(variables, num, self.den)
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, low to high."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def lc(self):
-        if not self.coeffs:
-            return _ZERO
-        return self.coeffs[-1]
+        return self[len(self.num) - 1]
 
     def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return _ZERO
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def has_integer_coeffs(self):
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = UniPoly(self.variable, [other])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.variable, self.coeffs))
+        return hash((self.num, self.den))
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign*other over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = UniPoly(self.variable, [other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.variable,
-            [self[i] + other[i] for i in range(n)],
-        )
+        g = int_gcd(self.den, other.den)
+        sa, sb = other.den // g, sign * (self.den // g)
+        out = [c * sa for c in self.num]
+        out.extend([0] * (len(other.num) - len(out)))
+        for k, c in enumerate(other.num):
+            out[k] += sb * c
+        return UniPoly(self.variable, out, self.den * sa)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.variable, [-c for c in self.coeffs])
+        return UniPoly(self.variable, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly(self.variable, [other])
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly(self.variable, [c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
+            n = other.numerator
+            return UniPoly(self.variable, [c * n for c in self.num], self.den * other.denominator)
+        if not self.num or not other.num:
             return UniPoly(self.variable, [])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(self.variable, out)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num, i):
+                    out[j] += a * b
+        return UniPoly(self.variable, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -616,53 +626,68 @@ class UniPoly:
         return power(self, n, UniPoly(self.variable, [1]))
 
     def divmod(self, other):
-        """Quotient and remainder over Q."""
+        """Quotient and remainder over Q, by integer pseudo-division.
+
+        With A = self.num and B = other.num, each step cancels the leading
+        remainder coefficient c against b = lc(B): with g = gcd(c, b)
+        signed like b, the remainder and the quotient so far are scaled by
+        s = b / g > 0 and t = c / g times x^k B is subtracted, so that
+        scale * A = B * Q + R holds throughout; a monic divisor never
+        scales.  Then self = other * q + r with q = other.den * Q /
+        (scale * self.den) and r = R / (scale * self.den).
+        """
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        b, db = other.num, other.degree
+        rem = list(self.num)
+        dq = len(rem) - len(b)
         if dq < 0:
             return UniPoly(self.variable, []), self
-        quo = [_ZERO] * (dq + 1)
-        blc = other.coeffs[-1]
+        quo = [0] * (dq + 1)
+        lead, scale = b[-1], 1
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / blc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(self.variable, quo), UniPoly(self.variable, rem)
+            c = rem[k + db]
+            if not c:
+                continue
+            g = int_gcd(c, lead) if lead > 0 else -int_gcd(c, lead)
+            s, t = lead // g, c // g
+            if s != 1:
+                rem = [x * s for x in rem]
+                quo = [x * s for x in quo]
+                scale *= s
+            quo[k] = t
+            for j, y in enumerate(b, k):
+                rem[j] -= t * y
+        den = scale * self.den
+        return UniPoly(self.variable, [x * other.den for x in quo], den), UniPoly(self.variable, rem, den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def div_exact(self, other):
         q, r = self.divmod(other)
         return q if r.is_zero else None
 
     def derivative(self):
-        return UniPoly(self.variable, [c * k for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly(self.variable, [c * k for k, c in enumerate(self.num)][1:], self.den)
 
     def eval(self, x):
+        """The value at the rational x, as a Fraction: Horner's rule on the
+        numerators of x^k, scaled by the power of its denominator."""
+        if not self.num:
+            return _ZERO
         x = Fraction(x)
-        total = _ZERO
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def compose(self, other):
-        total = UniPoly(self.variable, [])
-        for c in reversed(self.coeffs):
-            total = total * other + c
-        return total
+        p, q = x.numerator, x.denominator
+        total, qk = self.num[-1], 1
+        for c in reversed(self.num[:-1]):
+            qk *= q
+            total = total * p + c * qk
+        return Fraction(total, self.den * qk)
 
     def monic(self):
         if self.is_zero:
             return self
-        return self * (1 / self.coeffs[-1])
+        return self * Fraction(self.den, self.num[-1])
 
     def gcd(self, other):
         """Monic gcd over Q."""
@@ -680,7 +705,7 @@ class UniPoly:
             s0, s1 = s1, s0 - q * s1
         if r1.is_zero:
             raise AlgebraError("element is not invertible modulo the polynomial")
-        return s1 * (1 / r1.coeffs[0])
+        return s1 * Fraction(r1.den, r1.num[0])
 
     def squarefree_part(self):
         if self.degree <= 0:
@@ -692,13 +717,13 @@ class UniPoly:
         """(content, primitive) with integer primitive and positive lc."""
         if self.is_zero:
             return Fraction(0), self
-        scale, ints = _primitive_ints(self.coeffs)
-        if self.coeffs[-1] < 0:
-            return -scale, UniPoly(self.variable, [-c for c in ints])
-        return scale, UniPoly(self.variable, ints)
+        g = int_gcd(*self.num)
+        if self.num[-1] < 0:
+            g = -g
+        return Fraction(g, self.den), UniPoly(self.variable, [c // g for c in self.num])
 
     def shift_ring(self, variable):
-        return UniPoly(variable, self.coeffs)
+        return UniPoly(variable, self.num, self.den)
 
     def __str__(self):
         return str(self.to_multipoly())
@@ -1274,12 +1299,11 @@ def kronecker_substitute(p, g):
         out[packed] = c
     coeffs = [0] * (max(out) + 1 if out else 0)
     for k, c in out.items():
-        coeffs[k] = Fraction(c, p.den)
-    return UniPoly(target, coeffs), SubstitutionCodec(g, p.variables, target)
+        coeffs[k] = c
+    return UniPoly(target, coeffs, p.den), SubstitutionCodec(g, p.variables, target)
 
 
 def kronecker_inverse(u, codec):
     """Inverse of kronecker_substitute via base-g digit expansion."""
-    nums, den = normal_form(u.coeffs)
-    num = {codec.decode_exponent(k): c for k, c in enumerate(nums) if c}
-    return MultiPoly.from_ints(codec.variables, num, den)
+    num = {codec.decode_exponent(k): c for k, c in enumerate(u.num) if c}
+    return MultiPoly.from_ints(codec.variables, num, u.den)

@@ -85,7 +85,7 @@ class PointSet:
         for v, f in per_var.items():
             # rational roots only: exhaustiveness is decidable exactly
             linear, _ = _extract_integer_roots(f.content_primitive()[1])
-            found = [-lin.coeffs[0] / lin.coeffs[1] for lin in linear]
+            found = [Fraction(-lin.num[0], lin.num[1]) for lin in linear]
             if len(found) != f.degree:
                 raise DomainError(
                     "system has irrational solutions; the supplied points "

@@ -87,6 +87,18 @@ PINNED = [
     (["--json", "resolvent", "--", "2*x^2 + 1"], 1, "", "error: splitting algebra requires a monic polynomial\n"),
     (["prime-decomp", "--minpoly", "t^2 + 5", "--p", "5"], 1, "", "error: ramified or index case: 5 divides the discriminant, outside the unramified hypothesis\n"),
     (["--json", "prime-decomp", "--minpoly", "t^2 + 5", "--p", "5"], 1, "", "error: ramified or index case: 5 divides the discriminant, outside the unramified hypothesis\n"),
+    (["eliminate", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
+    (["--json", "eliminate", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
+    (["eliminate", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
+    (["--json", "eliminate", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
+    (["parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
+    (["--json", "parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
+    (["parametrize", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
+    (["--json", "parametrize", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
+    (["class-number", "-d", "-1000000"], 1, "", "error: |d| capped at 200\n"),
+    (["--json", "class-number", "-d", "-1000000"], 1, "", "error: |d| capped at 200\n"),
+    (["galois", "--", "x^6 + x + 1"], 1, "", "error: degree capped at 5\n"),
+    (["--json", "galois", "--", "x^6 + x + 1"], 1, "", "error: degree capped at 5\n"),
 ]
 
 
@@ -135,6 +147,8 @@ def _run(*argv):
         ("divides", "--minpoly", "t^2 + 5", "--", "2 + * u1", "2"),
         ("prime-decomp", "--minpoly", "t^", "--p", "3"),
         ("euler-trace", "--", "x^3 - 2*x + 7", "one"),
+        ("interpolate", "--", "no-such-problem.json"),
+        ("residue", "--", "no-such-problem.json"),
     ],
 )
 def test_malformed_input_exits_without_a_traceback(argv):

@@ -10,7 +10,7 @@ from kronecker.elimination import (
     eliminate_step,
     total_resolvente,
 )
-from kronecker.errors import DomainError
+from kronecker.errors import AlgebraError, DomainError
 from kronecker.polyring import MultiPoly, parse_poly, parse_polys
 
 
@@ -259,6 +259,16 @@ def test_drawn_matrices_are_unimodular_and_mix_every_coordinate():
                 inverse = _integral_inverse(m)
                 identity = [[int(i == j) for j in range(n)] for i in range(n)]
                 assert mat_mul(m, inverse) == identity == mat_mul(inverse, m)
+
+
+def test_integral_inverse_refuses_a_matrix_that_is_not_unimodular():
+    from kronecker.elimination import _integral_inverse
+
+    assert _integral_inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert _integral_inverse([[-1]]) == [[-1]]
+    for m in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
+        with pytest.raises(AlgebraError):
+            _integral_inverse(m)
 
 
 def test_a_plane_and_a_line_after_a_redraw():

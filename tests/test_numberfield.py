@@ -288,3 +288,9 @@ def test_negative_powers_are_powers_of_the_inverse():
     assert a ** -3 * a ** 3 == F.one()
     assert a ** 0 == F.one()
     assert bool(a) and not bool(F.zero())
+
+
+def test_equal_fields_hash_alike_whatever_the_variable():
+    K, L = NumberField("t^2 + 1"), NumberField("x^2 + 1")
+    assert K == L and hash(K) == hash(L) and len({K, L}) == 1
+    assert K != NumberField("x^2 + 2")

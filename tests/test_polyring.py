@@ -824,3 +824,146 @@ def test_equal_polynomials_hash_alike():
         p = _carrier_sample(rng)
         q = p.with_variables(("z", "w", "x", "y"))
         assert p == q and hash(p) == hash(q)
+
+
+# -- UniPoly on the integer carrier --------------------------------------------
+
+
+def _assert_uni_normal(p):
+    """num is a tuple of ints with no trailing zero, den a positive int,
+    gcd(den, *num) = 1, so zero is ((), 1)."""
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert not p.num or p.num[-1]
+    assert math.gcd(p.den, *p.num) == 1
+
+
+def _uni_sample(rng):
+    """Fraction coefficients, low to high, with no trailing zero: zero, a
+    constant or a polynomial of degree up to 5 with mixed denominators and
+    signs."""
+    shape = rng.random()
+    if shape < 0.1:
+        return []
+    size = 1 if shape < 0.25 else rng.randint(2, 6)
+    out = [Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 9))) for _ in range(size)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_uni_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _ref_trim([x + sign * y for x, y in zip(a, b)])
+
+
+def _ref_uni_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_uni_divmod(a, b):
+    """Long division over Q on Fraction lists."""
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _ref_trim(quo), _ref_trim(rem)
+
+
+def _ref_uni_gcd(a, b):
+    while b:
+        a, b = b, _ref_uni_divmod(a, b)[1]
+    return a
+
+
+def test_unipoly_carrier_matches_a_fraction_reference():
+    rng = random.Random(59)
+    divisions = {"negative lc": 0, "non-unit lc": 0, "higher degree": 0, "exact": 0}
+    for _ in range(300):
+        ra, rb = _uni_sample(rng), _uni_sample(rng)
+        a, b = UniPoly("x", ra), UniPoly("x", rb)
+        for p, ref in ((a, ra), (b, rb)):
+            _assert_uni_normal(p)
+            assert p.coeffs == tuple(ref) and all(type(c) is Fraction for c in p.coeffs)
+            assert p.lc() == (ref[-1] if ref else 0) and p[1] == (ref[1] if len(ref) > 1 else 0)
+            # the same value from unreduced integers over a denominator
+            d = math.lcm(*(c.denominator for c in ref)) * rng.randint(1, 6)
+            same = UniPoly("x", [int(c * d) for c in ref] + [0], d)
+            assert same == p and hash(same) == hash(p) and (same.num, same.den) == (p.num, p.den)
+        x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        cases = [
+            (a + b, _ref_uni_add(ra, rb)),
+            (a - b, _ref_uni_add(ra, rb, -1)),
+            (-a, _ref_uni_add([], ra, -1)),
+            (a + Fraction(1, 3), _ref_uni_add(ra, [Fraction(1, 3)])),
+            (a * b, _ref_uni_mul(ra, rb)),
+            (a * 6, [6 * c for c in ra]),
+            (a * 0, []),
+            (a * Fraction(-4, 9), [Fraction(-4, 9) * c for c in ra]),
+            (a**3, _ref_uni_mul(_ref_uni_mul(ra, ra), ra)),
+            (a**0, [1]),
+            (a.derivative(), [k * c for k, c in enumerate(ra)][1:]),
+        ]
+        if ra:
+            cases.append((a.monic(), [c / ra[-1] for c in ra]))
+            content, prim = a.content_primitive()
+            assert prim.den == 1 and prim.lc() > 0 and prim * content == a
+            lcm = math.lcm(*(c.denominator for c in ra))
+            g = math.gcd(*(int(c * lcm) for c in ra))
+            assert content == Fraction(g if ra[-1] > 0 else -g, lcm)
+            cases.append((prim, [c / content for c in ra]))
+        for got, want in cases:
+            _assert_uni_normal(got)
+            assert got.variable == "x" and got.coeffs == tuple(want)
+        value = a.eval(x)
+        assert type(value) is Fraction and value == sum((c * x**k for k, c in enumerate(ra)), Fraction(0))
+        if not rb:
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(b)
+            continue
+        for num, ref in ((a, ra), (a * b, _ref_uni_mul(ra, rb)), (a * b + 1, _ref_uni_add(_ref_uni_mul(ra, rb), [1]))):
+            q, r = num.divmod(b)
+            want_q, want_r = _ref_uni_divmod(ref, rb)
+            _assert_uni_normal(q)
+            _assert_uni_normal(r)
+            assert (q.coeffs, r.coeffs) == (tuple(want_q), tuple(want_r))
+            assert (num % b).coeffs == tuple(want_r)
+            exact = num.div_exact(b)
+            assert (exact is None) == bool(want_r)
+            if exact is not None:
+                assert exact.coeffs == tuple(want_q)
+                divisions["exact"] += 1
+            divisions["negative lc"] += rb[-1] < 0
+            divisions["non-unit lc"] += abs(rb[-1]) != 1
+            divisions["higher degree"] += len(rb) > len(ref)
+        if len(rb) >= 2 and ra:
+            if len(_ref_uni_gcd(ra, rb)) == 1:
+                inv = a.inverse_mod(b)
+                _assert_uni_normal(inv)
+                assert _ref_uni_divmod(_ref_uni_mul(ra, list(inv.coeffs)), rb)[1] == [1]
+            else:
+                with pytest.raises(AlgebraError):
+                    a.inverse_mod(b)
+    assert min(divisions.values()) >= 50, divisions
+
+
+def test_equal_unipolys_hash_alike_in_any_variable():
+    p, q = UniPoly("x", [1, 0, 1]), UniPoly("t", [1, 0, 1])
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert UniPoly("x", [Fraction(2, 4)]) == Fraction(1, 2)
+    r, s = UniPoly("y", [1, 2], 4), UniPoly("x", [Fraction(1, 4), Fraction(1, 2)])
+    assert r == s and hash(r) == hash(s) and (r.num, r.den) == ((1, 2), 4)

@@ -85,12 +85,24 @@ def test_the_mod_p_lint_recognises_a_dense_product():
     assert not _dense_mod_p_loop(ast.parse(source.replace(" % p", "")).body[0])
 
 
+def _functions(tree):
+    """Module-level functions by name, and methods as Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
 def test_term_kernels_never_name_fraction():
-    # MultiPoly carries integers over one denominator, so the term kernels
-    # run on ints; Fractions belong at the API edge only
+    # MultiPoly and UniPoly carry integers over one denominator, so the term
+    # kernels and UniPoly's dense long division run on ints; Fractions
+    # belong at the API edge only
     tree = ast.parse((PACKAGE / "polyring.py").read_text())
-    kernels = {"mul_terms", "add_scaled_terms", "divide_terms"}
-    found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in kernels}
+    kernels = {"mul_terms", "add_scaled_terms", "divide_terms", "UniPoly.divmod"}
+    found = {name: fn for name, fn in _functions(tree) if name in kernels}
     assert set(found) == kernels
     naming = sorted(
         name
