@@ -23,7 +23,6 @@ principal class), and a representative of order k > 1 has a principal
 k-th power.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, isqrt, pi
 
@@ -42,14 +41,14 @@ from kronecker.polyring import UniPoly
 MAX_ABS_D = 200
 
 
-@dataclass
 class ClassGroupResult:
-    d: int
-    disc: int
-    h: int
-    bound: int
-    field: NumberField
-    class_representatives: list = field(default_factory=list)  # (form, norm, order)
+    def __init__(self, d, disc, h, bound, field):
+        self.d = d
+        self.disc = disc
+        self.h = h
+        self.bound = bound
+        self.field = field
+        self.class_representatives = []  # (form, norm, order)
 
     def to_json(self):
         return {

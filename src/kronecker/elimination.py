@@ -27,7 +27,6 @@ result records.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from kronecker import linalg, polyring
@@ -41,43 +40,40 @@ _ENTRIES = tuple(c for c in range(-9, 10) if c)  # off-diagonal entries of a red
 _X = "X_"  # reserved fiber-combination variable for the u-weighted run
 
 
-@dataclass(frozen=True)
 class EliminationConfig:
-    seed: int = 0
-    max_vars: int = 3
-    max_degree: int = 4
-
-    def __post_init__(self):
-        if self.max_vars < 1 or self.max_degree < 1:
+    def __init__(self, seed=0, max_vars=3, max_degree=4):
+        if max_vars < 1 or max_degree < 1:
             raise DomainError("bounds must be positive")
+        self.seed = seed
+        self.max_vars = max_vars
+        self.max_degree = max_degree
 
 
-@dataclass
 class EliminationStep:
-    generators: list
-    eliminated: bool
+    def __init__(self, generators, eliminated):
+        self.generators = generators
+        self.eliminated = eliminated
 
 
-@dataclass
 class VarietyPart:
-    codim: int
-    resolvent: MultiPoly            # squarefree, input coordinates
-    factors: list                   # irreducible factors, input coordinates
-    resolvent_working: MultiPoly    # same data in the working coordinates
-    factors_working: list
+    def __init__(self, codim, resolvent, factors, resolvent_working, factors_working):
+        self.codim = codim
+        self.resolvent = resolvent  # squarefree, input coordinates
+        self.factors = factors  # irreducible factors, input coordinates
+        self.resolvent_working = resolvent_working  # same data in the working coordinates
+        self.factors_working = factors_working
 
 
-@dataclass
 class ComponentParam:
-    codim: int
-    degree: int
-    phi: MultiPoly                  # projection equation, working coordinates
-    phi_prime: MultiPoly            # shared denominator
-    params: dict                    # variable -> numerator (x_i = num / phi')
-    immersed: bool = False
+    def __init__(self, codim, degree, phi, phi_prime, params, immersed=False):
+        self.codim = codim
+        self.degree = degree
+        self.phi = phi  # projection equation, working coordinates
+        self.phi_prime = phi_prime  # shared denominator
+        self.params = params  # variable -> numerator (x_i = num / phi')
+        self.immersed = immersed
 
 
-@dataclass
 class VarietyDecomposition:
     """Decomposition of V(generators) into equidimensional parts.
 
@@ -87,12 +83,13 @@ class VarietyDecomposition:
     gives working coordinate i as an integer combination of the input
     variables."""
 
-    variables: tuple
-    coordinate_change: list         # row i: working_i as integer combo of input vars
-    parts: list = field(default_factory=list)
-    components: list = field(default_factory=list)
-    empty: bool = False
-    whole_space: bool = False
+    def __init__(self, variables, coordinate_change, empty=False, whole_space=False):
+        self.variables = variables
+        self.coordinate_change = coordinate_change  # row i: working_i as integer combo of input vars
+        self.parts = []
+        self.components = []
+        self.empty = empty
+        self.whole_space = whole_space
 
     def to_json(self):
         return {

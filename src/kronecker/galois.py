@@ -20,8 +20,12 @@ times an integer bound on the roots of f.  Every v_s then has absolute
 value at most beta, so the coefficient of X^(N-k) in a product of N of the
 factors X - v_s is at most C(N, k) beta^k, and the product of all n!
 factors, taken modulo m and lifted to the symmetric range, is R exactly.
-Any other input, with repeated roots or rational coefficients or weights,
-takes the characteristic polynomial of the multiplication matrix.
+Every such product over a set of root sums, R itself and the orbit and
+coset polynomials below, is one call to modp.from_roots: a product tree
+whose inner nodes are each one integer product by Kronecker substitution
+(von zur Gathen and Gerhard, §8.4 and Alg. 10.3).  Any other input, with
+repeated roots or rational coefficients or weights, takes the
+characteristic polynomial of the multiplication matrix.
 
 The Galois group is found on the same p-adic roots (Stauduhar 1973; Geissler
 and Kluners 2000).  The roots of the monic integer model of f are numbered
@@ -37,8 +41,17 @@ identity e, is one of them and t in G sends it to v_t, so t lies in H, and
 G lies in H.  G passes the test too: its orbit polynomial is integral, with
 coefficients within the bounds C(|G|, k) beta^k, so its symmetric lift mod
 m is itself.  So the first H accepted is G.  The answer is then certified:
-the coset polynomials of H multiply to R, H is closed and transitive, and
-|H| times the number of cosets is n!.
+the coset polynomials of H multiply to R, H is a transitive group, and |H|
+times the number of cosets is n!.  H is proved a group by generator
+closure: generators are picked from H in sorted order, each one the closure
+of the earlier ones has not reached, and that closure, the group they
+generate, must stay inside H and end up equal to it.
+
+The transitive subgroups of S_n come from one table of generators per
+conjugacy class.  Each class's conjugates are the closures of its
+generators conjugated by every s in S_n; an s whose conjugated generators
+all lie in a conjugate already found gives that conjugate again, since
+both groups have the same order, and costs no closure.
 """
 
 import itertools
@@ -290,10 +303,21 @@ def _closure(gens, n):
 
 
 def _is_group(perms, n):
-    s = set(perms)
-    if tuple(range(n)) not in s:
-        return False
-    return all(_compose(a, b) in s for a in s for b in s)
+    """True when the permutations form a group: the closure of generators
+    taken from them in sorted order, each one not yet reached, never leaves
+    them and ends up reaching all of them.  The closure of a finite set of
+    permutations is the group it generates, so this is a proof, at about
+    |H| times the number of generators compositions instead of |H|^2."""
+    elements = set(perms)
+    gens = []
+    reached = _closure(gens, n)
+    for h in sorted(elements):
+        if h not in reached:
+            gens.append(h)
+            reached = _closure(gens, n)
+            if not reached <= elements:
+                return False
+    return reached == elements
 
 
 def _is_transitive(perms, n):
@@ -350,21 +374,25 @@ def _transitive_subgroups(n):
     """All transitive subgroups of S_n for n <= 5, as sorted element lists,
     ordered by (order, elements).
 
-    Each representative in ``_TRANSITIVE_CLASSES``, the conjugacy classes
-    of Butler and McKay (1983), is closed once and conjugated by all n!
-    permutations; duplicates are dropped.
+    The conjugates of each representative in ``_TRANSITIVE_CLASSES``, the
+    conjugacy classes of Butler and McKay (1983), are generated by the
+    conjugated generators s g s^-1 over all n! permutations s.  An s whose
+    conjugated generators all lie in a conjugate already found is passed
+    over: they generate a subgroup of it of the same order, so the same
+    group.  Every other s costs one closure.
     """
     if n in _subgroup_cache:
         return _subgroup_cache[n]
     if n not in _TRANSITIVE_CLASSES:
         raise DomainError(f"transitive subgroups are tabulated for degree <= {MAX_DEGREE}")
-    perms = list(itertools.permutations(range(n)))
-    groups = set()
+    out = []
     for gens in _TRANSITIVE_CLASSES[n]:
-        H = _closure(gens, n)
-        for s in perms:
-            groups.add(frozenset(_conjugate(h, s) for h in H))
-    out = [sorted(H) for H in groups]
+        found = []
+        for s in itertools.permutations(range(n)):
+            conjugated = [_conjugate(g, s) for g in gens]
+            if not any(all(g in H for g in conjugated) for H in found):
+                found.append(_closure(conjugated, n))
+        out.extend(sorted(H) for H in found)
     out.sort(key=lambda H: (len(H), H))
     _subgroup_cache[n] = out
     return out
@@ -490,7 +518,7 @@ def _identify_group(F, u, resolvent, p, values, m):
         g = _orbit_polynomial(values, H, m)
         if not _within_bounds(g, beta) or _exact_quotient(target, g) is None:
             continue
-        return GaloisResult(H, resolvent, _certified_pattern(H, values, resolvent, m), u, p)
+        return GaloisResult(H, resolvent, _certified_pattern(H, g, values, resolvent, m), u, p)
     raise AlgebraError("no transitive subgroup has its orbit polynomial divide the resolvent")
 
 
@@ -507,12 +535,14 @@ def _orbit_polynomial(values, perms, m):
     return modp.symmetric(modp.from_roots([values[s] for s in perms], m), m)
 
 
-def _certified_pattern(H, values, resolvent, m):
+def _certified_pattern(H, g, values, resolvent, m):
     """The degrees of the coset polynomials of H, once they multiply to the
-    resolvent, H is a transitive group and |H| times their number is n!."""
+    resolvent, H is a transitive group and |H| times their number is n!.
+    The first coset, of the identity, is H itself, with the orbit
+    polynomial g."""
     n = len(H[0])
-    factors = []
-    covered = set()
+    factors = [UniPoly(resolvent.variable, g)]
+    covered = set(H)
     for sigma in values:
         if sigma in covered:
             continue

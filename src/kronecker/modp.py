@@ -110,12 +110,37 @@ def powmod(f, e, g, m):
     return out
 
 
+_LEAF = 8  # values multiplied out directly at a leaf of from_roots' tree
+
+
 def from_roots(values, m):
-    """prod (x - v) over the values, mod m."""
-    out = [1]
-    for v in values:
-        out = [(a - v * b) % m for a, b in zip([0] + out, out + [0])]
-    return out
+    """prod (x - v) over the values, mod m.
+
+    A product tree (von zur Gathen and Gerhard, Alg. 10.3): the leaves
+    multiply up to _LEAF linear factors one at a time, and each inner node
+    is one integer product by Kronecker substitution."""
+    level = []
+    for i in range(0, len(values), _LEAF):
+        out = [1]
+        for v in values[i : i + _LEAF]:
+            out = [(a - v * b) % m for a, b in zip([0] + out, out + [0])]
+        level.append(out)
+    while len(level) > 1:
+        pairs = [_kronecker_mul(a, b, m) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[len(pairs) * 2 :]
+    return level[0] if level else [1]
+
+
+def _kronecker_mul(a, b, m):
+    """a * b mod m for coefficient lists in [0, m) (§8.4): each list packed
+    into one int at w bits a slot, one integer product, the slots read
+    back.  A product coefficient is a sum of at most min(len a, len b)
+    terms below m^2, so it fits in w >= 2 bits(m) + bits(min(len a, len b))
+    + 1 bits, rounded up to whole bytes."""
+    width = (2 * m.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
+    pa, pb = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little") for f in (a, b))
+    raw = (pa * pb).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
 
 
 def symmetric(f, m):

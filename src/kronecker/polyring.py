@@ -23,10 +23,11 @@ function.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from math import prod
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError, ParseError
@@ -100,12 +101,20 @@ def divide_terms(num, den, quotient):
     quotient(c) returns the coefficient q with q * lc(den) == c, or None
     when the coefficient ring holds none.  The coefficients need *, -,
     unary - and a truth value, and the ring must have no zero divisors.
+
+    The leading remainder term comes off a heap of the exponents of num,
+    each pushed as it enters num; one popped after it left num is skipped
+    (Monagan and Pearce 2007, CASC).
     """
     de = max(den, key=_grlex_key)
     quo = {}
+    heap = [_heap_key(e) for e in num]
+    heapify(heap)
     while num:
-        ne = max(num, key=_grlex_key)
-        qe = tuple(i - j for i, j in zip(ne, de))
+        ne = heappop(heap)[2]
+        if ne not in num:
+            continue
+        qe = tuple(map(sub, ne, de))
         if qe and min(qe) < 0:
             return None
         qc = quotient(num[ne])
@@ -113,13 +122,23 @@ def divide_terms(num, den, quotient):
             return None
         quo[qe] = qc
         for e, c in den.items():
-            key = tuple(i + j for i, j in zip(e, qe))
-            v = num[key] - qc * c if key in num else -(qc * c)
+            key = tuple(map(add, e, qe))
+            if key in num:
+                v = num[key] - qc * c
+            else:
+                v = -(qc * c)
+                heappush(heap, _heap_key(key))
             if v:
                 num[key] = v
             else:
                 del num[key]
     return quo
+
+
+def _heap_key(exps):
+    """A min-heap entry for exps that comes off first for the graded-lex
+    largest exponent tuple."""
+    return (-sum(exps), tuple(map(neg, exps)), exps)
 
 
 def _int_quotient(den):
@@ -247,10 +266,6 @@ class MultiPoly:
                 if k:
                     used.add(self.variables[i])
         return used
-
-    def sorted_terms(self):
-        """Terms in graded-lex descending order, with Fraction coefficients."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex leading term."""
@@ -471,19 +486,20 @@ class MultiPoly:
         if not self.num:
             return "0"
         chunks = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.num.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e)
                 if k
             )
-            mag = abs(c)
-            if mono and mag == 1:
+            g = int_gcd(c, self.den)
+            mag = str(abs(c) // g) if g == self.den else f"{abs(c) // g}/{self.den // g}"
+            if mono and mag == "1":
                 body = mono
             elif mono:
                 body = f"{mag}*{mono}"
             else:
-                body = str(mag)
+                body = mag
             chunks.append(("-" if c < 0 else "+", body))
         sign, body = chunks[0]
         out = ("-" if sign == "-" else "") + body

@@ -337,6 +337,62 @@ def test_transitive_subgroups_match_all_pairs_closure():
         galois._subgroup_cache.update(saved)
 
 
+def test_is_group_needs_the_identity_and_closure():
+    e4 = (0, 1, 2, 3)
+    transpositions = [(1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0), (0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)]
+    assert not galois._is_group(transpositions, 4)  # no identity
+    assert not galois._is_group([e4] + transpositions, 4)  # not closed
+    assert not galois._is_group([(1, 2, 0, 3), (2, 0, 1, 3)], 4)  # C3 without the identity
+    assert not galois._is_group([e4, (1, 2, 3, 0), (2, 3, 0, 1)], 4)  # C4 without its generator's inverse
+    assert not galois._is_group([], 4)
+    assert galois._is_group([e4], 4)
+    for n in range(1, 6):
+        for H in galois._transitive_subgroups(n):
+            assert galois._is_group(H, n)
+            assert galois._is_group(list(reversed(H)), n)
+            assert not galois._is_group(H[1:], n)  # H[0] is the identity
+
+
+def _generated(gens):
+    """The 1-indexed permutations generated by gens, closed by brute force."""
+    n = len(gens[0])
+    out = {tuple(range(1, n + 1))}
+    while True:
+        more = {tuple(g[i - 1] for i in h) for g in gens for h in out} - out
+        if not more:
+            return sorted(out)
+        out |= more
+
+
+# (input, split prime, weights, factor pattern, generators of the group),
+# one input per transitive class of degree 4 and 5
+PINNED_GROUPS = [
+    ("x^4 + x^3 + x^2 + x + 1", 131, (0, 1, 2, 3), [4] * 6, [(2, 4, 1, 3)]),
+    ("x^4 + 1", 89, (0, 2, 6, 12), [4] * 6, [(2, 1, 4, 3), (3, 4, 1, 2)]),
+    ("x^4 - 2", 89, (0, 2, 6, 12), [8] * 3, [(1, 3, 2, 4), (2, 1, 4, 3)]),
+    ("x^4 + 8*x + 12", 197, (0, 1, 2, 3), [12] * 2, [(1, 3, 4, 2), (2, 1, 4, 3)]),
+    ("x^4 + x + 1", 509, (0, 1, 2, 3), [24], [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]),
+    ("x^5 - 10*x^3 + 5*x^2 + 10*x + 1", 1093, (0, 1, 2, 3, 4), [5] * 24, [(2, 4, 1, 5, 3)]),
+    ("x^5 - 5*x + 12", 1277, (0, 1, 2, 3, 4), [10] * 12, [(1, 4, 5, 2, 3), (2, 1, 3, 5, 4)]),
+    ("x^5 - 2", 571, (0, 1, 2, 3, 4), [20] * 6, [(1, 3, 5, 2, 4), (2, 1, 5, 4, 3)]),
+    ("x^5 + 20*x + 16", 1699, (0, 1, 2, 3, 4), [60] * 2, [(1, 2, 4, 5, 3), (1, 3, 2, 5, 4), (2, 1, 3, 5, 4)]),
+    (
+        "x^5 - x - 1",
+        1973,
+        (0, 1, 2, 3, 4),
+        [120],
+        [(1, 2, 3, 5, 4), (1, 2, 4, 3, 5), (1, 3, 2, 4, 5), (2, 1, 3, 4, 5)],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, p, u, pattern, gens", PINNED_GROUPS)
+def test_pinned_groups_and_factor_patterns(text, p, u, pattern, gens):
+    res = galois_group(text)
+    assert (res.p, res.u, res.factor_pattern) == (p, u, pattern)
+    assert res.group == _generated(gens)
+
+
 def _int_coeffs(text):
     return [int(c) for c in UniPoly.from_multipoly(parse_poly(text)).coeffs]
 

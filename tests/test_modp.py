@@ -44,6 +44,28 @@ def test_product_of_linear_factors_agrees_with_evaluation():
                 assert _value(f, x, m) == expected
 
 
+def _from_roots_directly(values, m):
+    """The linear factors multiplied in one at a time."""
+    out = [1]
+    for v in values:
+        out = [(a - v * b) % m for a, b in zip([0] + out, out + [0])]
+    return out
+
+
+def test_product_tree_equals_the_direct_product():
+    # leaves of 8 values: sizes on both sides of one leaf, an odd leaf
+    # count and the 120 values of an S5 orbit polynomial
+    rng = random.Random(67)
+    for m in (2**89 - 1, 3**40, 2):
+        for size in (0, 1, 7, 8, 9, 31, 120):
+            values = [rng.randrange(m) for _ in range(size)]
+            assert modp.from_roots(values, m) == _from_roots_directly(values, m), (m, size)
+    # a modulus near the Galois moduli, and values left unreduced
+    m = 1973**40
+    values = [rng.randrange(-m, 2 * m) for _ in range(120)]
+    assert modp.from_roots(values, m) == _from_roots_directly(values, m)
+
+
 def test_roots_agree_with_evaluation():
     rng = random.Random(89)
     for p in (3, 5, 7, 101):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kronecker import polyring
 from kronecker.errors import AlgebraError, DomainError, ParseError
+from kronecker.numberfield import NumberField
 from kronecker.polyring import (
     MultiPoly,
     UniPoly,
@@ -594,6 +595,101 @@ def test_divide_terms_stops_without_a_coefficient_quotient():
     halves = lambda c: c // 2 if c % 2 == 0 else None  # noqa: E731
     assert polyring.divide_terms({(2,): 4, (1,): -2, (0,): -6}, {(1,): 2, (0,): 2}, halves) == {(1,): 2, (0,): -3}
     assert polyring.divide_terms({(2,): 3}, {(1,): 2}, halves) is None
+
+
+def _divide_terms_by_rescan(num, den, quotient):
+    """divide_terms with the leading remainder term found by a max over
+    the whole remainder at every step."""
+    key = lambda e: (sum(e), e)  # noqa: E731
+    de = max(den, key=key)
+    quo = {}
+    while num:
+        ne = max(num, key=key)
+        qe = tuple(i - j for i, j in zip(ne, de))
+        if qe and min(qe) < 0:
+            return None
+        qc = quotient(num[ne])
+        if qc is None:
+            return None
+        quo[qe] = qc
+        for e, c in den.items():
+            k = tuple(i + j for i, j in zip(e, qe))
+            v = num[k] - qc * c if k in num else -(qc * c)
+            if v:
+                num[k] = v
+            else:
+                del num[k]
+    return quo
+
+
+def _rand_terms(rng, nvars, coeff):
+    """A nonzero term map of up to five terms with coefficients coeff()."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 5)):
+            c = coeff()
+            if c:
+                terms[tuple(rng.randint(0, 3) for _ in range(nvars))] = c
+    return terms
+
+
+def _field_quotient(den):
+    """quotient(c) for divide_terms over a field: c / lc(den)."""
+    inv = den[max(den, key=polyring._grlex_key)].inverse()
+    return lambda c: c * inv
+
+
+def test_heap_division_matches_a_rescan_reference():
+    rng = random.Random(29)
+    K = NumberField(parse_poly("t^3 - t - 1"))
+    rings = [
+        (lambda: rng.randint(-9, 9), polyring._int_quotient),
+        (lambda: K.element([rng.randint(-3, 3) for _ in range(3)]), _field_quotient),
+    ]
+    outcomes = set()
+    for ring, (coeff, quotient) in enumerate(rings):
+        for _ in range(150):
+            nvars = rng.randint(1, 3)
+            den, q = _rand_terms(rng, nvars, coeff), _rand_terms(rng, nvars, coeff)
+            num = polyring.mul_terms(den, q)
+            if rng.random() < 0.4:
+                num = polyring.add_scaled_terms(num, _rand_terms(rng, nvars, coeff), 1)
+            if not num:
+                continue
+            got = polyring.divide_terms(dict(num), den, quotient(den))
+            assert got == _divide_terms_by_rescan(dict(num), den, quotient(den))
+            outcomes.add((ring, got is None))
+            if got is not None:
+                assert polyring.mul_terms(den, got) == num
+    assert outcomes == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def _str_by_fractions(p):
+    """MultiPoly printing with every coefficient a Fraction."""
+    if p.is_zero:
+        return "0"
+    out = ""
+    for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(p.variables, e) if k)
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+        if not out:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += f" {'-' if c < 0 else '+'} {body}"
+    return out
+
+
+def test_printing_matches_fraction_formatting():
+    rng = random.Random(43)
+    samples = [MultiPoly.zero(("x",)), MultiPoly.const(1), MultiPoly.const(Fraction(-3, 4), ("x", "y"))]
+    for _ in range(400):
+        nvars, nterms = rng.randint(1, 3), rng.randint(1, 6)
+        p = rand_poly(rng, nvars=nvars, nterms=nterms, coeff=rng.choice((1, 2, 12)), den=rng.choice((1, 2, 6)))
+        samples.append(p)
+        samples.append(-p + Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    for p in samples:
+        assert str(p) == _str_by_fractions(p)
+    assert str(parse_poly("-x^2*y + 1/2*x - 1/3*y - 1")) == "-x^2*y + 1/2*x - 1/3*y - 1"
 
 
 def test_negative_powers_raise():

@@ -138,3 +138,25 @@ def test_determinant_is_division_free():
         assert not _divisions(fn), f"{name} divides: {_divisions(fn)}"
     for sample in ("a / b", "a // b", "a % b", "x %= b", "divmod(a, b)", "a.div_exact(b)"):
         assert _divisions(ast.parse(f"def f(a, b):\n    x = 1\n    {sample}\n").body[0]), sample
+
+
+def _imports(tree):
+    """The module names a module's import statements name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, and
+    # every @dataclass is built with exec: about a third of the package's
+    # import time, which every CLI process pays
+    found = [
+        f"{path.relative_to(PACKAGE)}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "dataclasses" in _imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"modules importing dataclasses: {found}"
+    assert "dataclasses" in _imports(ast.parse("from dataclasses import dataclass"))
