@@ -1,16 +1,27 @@
 """Divisor arithmetic in monogenic orders: forms in adjoined indeterminates.
 
-A divisor is represented by a form, a polynomial in fresh indeterminates
-u1, u2, ... whose coefficients are algebraic integers of a number field.
-The norm of a form is the product of its conjugates, computed exactly as a
-resultant against the defining polynomial; the content of the norm and the
-primitive cofactor Fm (content * Fm = Nm) drive everything else:
+A divisor is represented by a form D = sum_e c_e u^e in fresh indeterminates
+u1, u2, ... whose coefficients c_e are algebraic integers of a number field
+of degree n with generator theta.  A DivisorForm carries D as one MultiPoly
+in (theta, u1, u2, ...) of theta-degree below n, so in the normal form that
+MultiPoly, UniPoly and numberfield.AlgNum share: integer terms over one
+positive denominator.  A product is a MultiPoly product reduced modulo the
+defining polynomial f.
 
-* divisibility: D divides G iff G*Fm(D)/D is again a form with algebraic
-  integer coefficients; the equivalent characteristic-equation criterion
-  (the norm of X*D - G*Fm(D) must be divisible by Nm(D) with integer
-  quotient coefficients) is computed alongside and the two are required to
-  agree on every call,
+Every divisor quantity is read off the multiplication matrix M_D, the n x n
+matrix over Q[u] of y -> D*y in the power basis, M_D = sum_e u^e M(c_e)
+(Edwards, Divisor Theory, Birkhauser 1990):
+
+* the norm Nm(D), the product of the conjugate forms, is det M_D; its
+  content and the primitive cofactor Fm (content * Fm = Nm) drive
+  everything else,
+* the first column of the adjugate, C_i = (-1)^i det(minor(M_D, 0, i)),
+  gives the form C = sum_i C_i theta^i with D*C = Nm(D),
+* divisibility: D divides G iff G*Fm(D)/D = G*C/content is again a form with
+  algebraic integer coefficients; the equivalent characteristic-equation
+  criterion (Nm(X*D - G*Fm(D)) = det(X*M_D - M_(G*Fm(D))) must be divisible
+  by Nm(D) with integer quotient coefficients) is computed alongside and
+  the two are required to agree on every call,
 * units are the forms of norm content 1,
 * the gcd of algebraic integers x1, ..., xk is the linear form
   x1*u1 + ... + xk*uk,
@@ -28,39 +39,42 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from kronecker import modp, primes
+from kronecker import linalg, modp, primes
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import AlgNum, is_integral
-from kronecker.polyring import MultiPoly, UniPoly, _grlex_key, divide_terms, power, resultant
+from kronecker.polyring import MultiPoly, UniPoly, poly_matrix_det, power
 
 
 class DivisorForm:
-    """Form in indeterminates with AlgNum coefficients over one field."""
+    """Form D = sum_e c_e u^e with coefficients in one number field of
+    degree n.
 
-    __slots__ = ("field", "unames", "coeffs")
+    Carried as ``poly``, one MultiPoly in (theta, *unames) of theta-degree
+    below n, in the normal form that MultiPoly, UniPoly and AlgNum share;
+    ``unames`` names the indeterminates u.  Its multiplication matrix M_D
+    gives Nm(D) = det M_D, and the first column of its adjugate the form C
+    with D*C = Nm(D).
+    """
+
+    __slots__ = ("field", "unames", "poly")
 
     def __init__(self, field, unames, coeffs):
-        self.field = field
-        self.unames = tuple(unames)
-        gen_var = field.minpoly.variable
-        if gen_var in self.unames:
-            raise AlgebraError("indeterminate names must avoid the generator variable")
-        clean = {}
+        """coeffs maps u-exponent tuples to AlgNums, ints or Fractions."""
+        coeffs = {e: c if isinstance(c, AlgNum) else field.element([c]) for e, c in coeffs.items()}
+        den = int_lcm(*(c.den for c in coeffs.values()))
+        num = {}
         for e, c in coeffs.items():
-            if not isinstance(c, AlgNum):
-                c = field.element([c])
-            if not c.is_zero:
-                clean[tuple(e)] = c
-        self.coeffs = clean
-        if not clean:
-            raise AlgebraError("a divisor form needs at least one nonzero coefficient")
+            scale = den // c.den
+            for k, a in enumerate(c.num):
+                if a:
+                    num[(k,) + tuple(e)] = a * scale
+        D = _form(field, MultiPoly.from_ints((field.minpoly.variable,) + tuple(unames), num, den))
+        self.field, self.unames, self.poly = D.field, D.unames, D.poly
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, field, value):
-        if not isinstance(value, AlgNum):
-            value = field.element([value])
         return cls(field, (), {(): value})
 
     @classmethod
@@ -68,15 +82,11 @@ class DivisorForm:
         """x1*u1 + ... + xk*uk with fresh indeterminates."""
         if not elements:
             raise DomainError("empty element list")
-        field = elements[0].field
         if unames is None:
             unames = tuple(f"u{i + 1}" for i in range(len(elements)))
-        coeffs = {}
-        for i, x in enumerate(elements):
-            e = [0] * len(elements)
-            e[i] = 1
-            coeffs[tuple(e)] = x
-        return cls(field, unames, coeffs)
+        k = len(elements)
+        coeffs = {tuple(int(i == j) for j in range(k)): x for i, x in enumerate(elements)}
+        return cls(elements[0].field, unames, coeffs)
 
     @classmethod
     def from_multipoly(cls, field, p, unames=None):
@@ -84,91 +94,45 @@ class DivisorForm:
         tvar = field.minpoly.variable
         if unames is None:
             unames = tuple(v for v in p.variables if v != tvar)
-        ti = p.variables.index(tvar) if tvar in p.variables else None
-        buckets = {}
-        for e, c in p.num.items():
-            k = e[ti] if ti is not None else 0
-            ue = tuple(x for i, x in enumerate(e) if i != ti)
-            bucket = buckets.setdefault(ue, [])
-            while len(bucket) <= k:
-                bucket.append(0)
-            bucket[k] += c
-        coeffs = {e: field._reduce(cs, p.den) for e, cs in buckets.items()}
-        return cls(field, unames, coeffs)
+        return _form(field, p.with_variables((tvar,) + tuple(unames)))
 
-    # -- bookkeeping -----------------------------------------------------------
+    # -- coefficients ----------------------------------------------------------
 
-    def with_unames(self, unames):
-        unames = tuple(unames)
-        mapping = []
-        for i, u in enumerate(self.unames):
-            if u not in unames:
-                raise AlgebraError(f"cannot drop indeterminate {u!r}")
-            mapping.append((i, unames.index(u)))
-        coeffs = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * len(unames)
-            for i, j in mapping:
-                ne[j] = e[i]
-            coeffs[tuple(ne)] = c
-        return DivisorForm(self.field, unames, coeffs)
+    def _columns(self):
+        """{u-exponent: theta-coefficient list of length n} over poly.den."""
+        n = self.field.degree
+        out = {}
+        for e, c in self.poly.num.items():
+            out.setdefault(e[1:], [0] * n)[e[0]] = c
+        return out
 
-    def _align(self, other):
-        if self.field != other.field:
-            raise DomainError("forms belong to different fields")
-        if self.unames == other.unames:
-            return self, other
-        merged = list(self.unames)
-        for u in other.unames:
-            if u not in merged:
-                merged.append(u)
-        return self.with_unames(merged), other.with_unames(merged)
-
-    def rename(self, mapping):
-        """Fresh indeterminate names (for same-coefficient equivalent forms)."""
-        return DivisorForm(
-            self.field,
-            tuple(mapping.get(u, u) for u in self.unames),
-            dict(self.coeffs),
-        )
+    @property
+    def coeffs(self):
+        """{u-exponent: AlgNum coefficient}."""
+        den = self.poly.den
+        return {e: self.field._reduce(v, den) for e, v in self._columns().items()}
 
     def is_integral_form(self):
-        return all(is_integral(c) for c in self.coeffs.values())
-
-    def coefficient_list(self):
-        return [c for _, c in sorted(self.coeffs.items(), key=lambda t: _grlex_key(t[0]))]
+        """Over den = 1 the form lies in Z[theta][u]; otherwise each
+        coefficient is tested."""
+        return self.poly.den == 1 or all(is_integral(c) for c in self.coeffs.values())
 
     # -- arithmetic --------------------------------------------------------------
 
+    def _other(self, other):
+        """other as a form over self's field."""
+        other = _as_form(self.field, other)
+        if other.field != self.field:
+            raise DomainError("forms belong to different fields")
+        return other
+
     def __add__(self, other):
-        a, b = self._align(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            cur = out.get(e)
-            val = c if cur is None else cur + c
-            if val.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = val
-        return DivisorForm(a.field, a.unames, out)
+        return _form(self.field, self.poly + self._other(other).poly)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, AlgNum)):
-            if not isinstance(other, AlgNum):
-                other = self.field.element([other])
-            if other.is_zero:
-                raise AlgebraError("zero product is not a divisor form")
-            return DivisorForm(
-                self.field, self.unames, {e: c * other for e, c in self.coeffs.items()}
-            )
-        a, b = self._align(other)
-        out = {}
-        for ea, ca in a.coeffs.items():
-            for eb, cb in b.coeffs.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                cur = out.get(key)
-                out[key] = ca * cb if cur is None else cur + ca * cb
-        return DivisorForm(a.field, a.unames, out)
+        if isinstance(other, (int, Fraction)):
+            return _form(self.field, self.poly * other)
+        return _form(self.field, self.poly * self._other(other).poly)
 
     __rmul__ = __mul__
 
@@ -178,42 +142,23 @@ class DivisorForm:
     def __eq__(self, other):
         if not isinstance(other, DivisorForm):
             return NotImplemented
-        a, b = self._align(other)
-        return a.coeffs == b.coeffs
+        return self.poly == self._other(other).poly
 
     def __hash__(self):
-        return hash(
-            (self.field, self.unames, tuple(sorted(self.coeffs.items(), key=lambda t: t[0])))
-        )
+        return hash((self.field, self.poly))
 
     # -- conversions ----------------------------------------------------------------
 
-    def to_multipoly(self):
-        """As a MultiPoly in (generator variable, *unames)."""
-        den = int_lcm(*(c.den for c in self.coeffs.values()))
-        num = {}
-        for e, c in self.coeffs.items():
-            scale = den // c.den
-            for k, a in enumerate(c.num):
-                if a:
-                    num[(k,) + e] = a * scale
-        return MultiPoly.from_ints((self.field.minpoly.variable,) + self.unames, num, den)
-
     def conj_quadratic(self):
-        return DivisorForm(
-            self.field,
-            self.unames,
-            {e: c.conj_quadratic() for e, c in self.coeffs.items()},
-        )
+        return DivisorForm(self.field, self.unames, {e: c.conj_quadratic() for e, c in self.coeffs.items()})
 
     def __str__(self):
         tvar = self.field.minpoly.variable
+        den = self.poly.den
         chunks = []
-        for e, c in sorted(self.coeffs.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
-            mono = "*".join(
-                u if k == 1 else f"{u}^{k}" for u, k in zip(self.unames, e) if k
-            )
-            body = str(c).replace("t", tvar) if tvar != "t" else str(c)
+        for e, v in sorted(self._columns().items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            mono = "*".join(u if k == 1 else f"{u}^{k}" for u, k in zip(self.unames, e) if k)
+            body = str(MultiPoly.from_ints((tvar,), {(k,): a for k, a in enumerate(v) if a}, den))
             if " " in body:
                 body = f"({body})"
             if mono:
@@ -227,25 +172,86 @@ class DivisorForm:
         return f"DivisorForm({self})"
 
 
+def _form(field, poly):
+    """The form of a MultiPoly in (theta, *unames), reduced modulo f."""
+    if poly.variables[0] in poly.variables[1:]:
+        raise AlgebraError("indeterminate names must avoid the generator variable")
+    num = _reduce_terms(field, poly.num)
+    if not num:
+        raise AlgebraError("a divisor form needs at least one nonzero coefficient")
+    D = object.__new__(DivisorForm)
+    D.field, D.unames = field, poly.variables[1:]
+    D.poly = poly if num is poly.num else MultiPoly.from_ints(poly.variables, num, poly.den)
+    return D
+
+
+def _reduce_terms(field, num):
+    """The integer term map num in (theta, *u) reduced modulo f: every
+    theta^k with k >= n is replaced by its row of the field's power table;
+    num itself when no such term occurs."""
+    n = field.degree
+    top = max((e[0] for e in num), default=0)
+    if top < n:
+        return num
+    rows = field._power_rows(top - n + 1)
+    out = {}
+    for e, c in num.items():
+        if e[0] < n:
+            out[e] = out.get(e, 0) + c
+            continue
+        rest = e[1:]
+        for i, r in enumerate(rows[e[0] - n]):
+            if r:
+                key = (i,) + rest
+                out[key] = out.get(key, 0) + c * r
+    return {e: c for e, c in out.items() if c}
+
+
+def _as_form(field, x):
+    if isinstance(x, DivisorForm):
+        return x
+    return DivisorForm.constant(field, x)
+
+
 # ---------------------------------------------------------------------------
-# norm, content, Fm
+# multiplication matrix: norm, content, Fm, cofactor
 # ---------------------------------------------------------------------------
+
+
+def _matrix(D, unames):
+    """M_D over Q[unames], a superset of D's indeterminates: entry (i, j) is
+    the theta^i coordinate of D*theta^j."""
+    tvar = D.field.minpoly.variable
+    n = D.field.degree
+    p = D.poly
+    if p.variables[1:] != unames:
+        p = p.with_variables((tvar,) + unames)
+    num, cols = p.num, []
+    for j in range(n):
+        if j:
+            num = _reduce_terms(D.field, {(e[0] + 1,) + e[1:]: c for e, c in num.items()})
+        col = [{} for _ in range(n)]
+        for e, c in num.items():
+            col[e[0]][e[1:]] = c
+        cols.append(col)
+    return [[MultiPoly.from_ints(unames, cols[j][i], p.den) for j in range(n)] for i in range(n)]
 
 
 def form_norm(D):
     """Nm(D): the product of the conjugate forms, a MultiPoly in the u's.
 
-    Computed as Res_theta(minpoly, D); the defining polynomial is monic so
-    no normalization is needed and Nm(c) = c^n for constants.
+    It is det M_D; for the monic defining polynomial f this equals
+    Res_theta(f, D), and Nm(c) = c^n for a rational constant c.
     """
-    field = D.field
-    tvar = field.minpoly.variable
-    p = D.to_multipoly()
-    if p.degree(tvar) <= 0:
-        out = p ** field.degree
-    else:
-        out = resultant(field.minpoly.to_multipoly((tvar,)), p, tvar)
-    return out.with_variables(D.unames) if D.unames else out.with_variables(())
+    return poly_matrix_det(_matrix(D, D.unames))
+
+
+def _content_fm(nm):
+    """(content, Fm) of the norm of an integral form."""
+    if nm.den != 1:
+        raise AlgebraError("norm of an integral form must have integer coefficients")
+    content = int_gcd(*nm.num.values())
+    return content, nm * Fraction(1, content)
 
 
 def form_norm_content_fm(D):
@@ -257,11 +263,16 @@ def form_norm_content_fm(D):
     if not D.is_integral_form():
         raise DomainError("form has a non-integral coefficient")
     nm = form_norm(D)
-    if nm.den != 1:
-        raise AlgebraError("norm of an integral form must have integer coefficients")
-    content = int_gcd(*nm.num.values())
-    fm = nm * Fraction(1, content)
-    return nm, content, fm
+    return (nm, *_content_fm(nm))
+
+
+def _cofactor(D, m):
+    """The form C with D*C = Nm(D), for m = M_D over D's indeterminates: C_i
+    = (-1)^i det(minor(m, 0, i)) is the first column of the adjugate, so
+    M_D C = det(M_D) e_0."""
+    theta = MultiPoly.var(D.poly.variables[0], D.poly.variables)
+    terms = ((-theta) ** i * poly_matrix_det(linalg.minor(m, 0, i)) for i in range(len(m)))
+    return _form(D.field, sum(terms, MultiPoly.zero(D.poly.variables)))
 
 
 def is_unit(D):
@@ -274,41 +285,24 @@ def is_unit(D):
 # ---------------------------------------------------------------------------
 
 
-def _as_form(field, x):
-    if isinstance(x, DivisorForm):
-        return x
-    return DivisorForm.constant(field, x)
-
-
-def exact_quotient(G, D):
-    """G/D in the field-coefficient polynomial ring, or None."""
-    a, b = G._align(D)
-    inv = b.coeffs[max(b.coeffs, key=_grlex_key)].inverse()
-    quo = divide_terms(dict(a.coeffs), b.coeffs, lambda c: c * inv)
-    if quo is None:
-        return None
-    return DivisorForm(a.field, a.unames, quo)
-
-
 def divides(D, G):
     """True when the divisor D divides the form (or element) G.
 
-    Both historical criteria are evaluated: the quotient G*Fm(D)/D must be a
-    form with algebraic-integer coefficients, and the characteristic
-    equation Nm(X*D - G*Fm(D)) must be divisible by Nm(D) with integer
-    coefficients.  They are provably equivalent; the implementation insists
-    they agree.
+    Both historical criteria are evaluated: the quotient G*Fm(D)/D =
+    G*C/content must be a form with algebraic-integer coefficients, and the
+    characteristic equation Nm(X*D - G*Fm(D)) must be divisible by Nm(D)
+    with integer coefficients.  They are provably equivalent; the
+    implementation insists they agree.
     """
     field = D.field
     G = _as_form(field, G)
     if not D.is_integral_form() or not G.is_integral_form():
         raise DomainError("divisibility is defined for integral forms")
-    nm, content, fm = form_norm_content_fm(D)
-    gfm = G * DivisorForm.from_multipoly(field, fm, unames=tuple(fm.variables))
-    quo = exact_quotient(gfm, D)
-    crit1 = quo is not None and quo.is_integral_form()
-
-    crit2 = _char_equation_criterion(D, gfm, nm)
+    m = _matrix(D, D.unames)
+    nm = poly_matrix_det(m)
+    content, fm = _content_fm(nm)
+    crit1 = (G * _cofactor(D, m) * Fraction(1, content)).is_integral_form()
+    crit2 = _char_equation_criterion(D, _form(field, G.poly * fm), nm)
     if crit1 != crit2:
         raise AlgebraError(
             "internal inconsistency: the two divisibility criteria disagree"
@@ -317,24 +311,18 @@ def divides(D, G):
 
 
 def _char_equation_criterion(D, gfm, nm):
-    """Nm(X*D - G*Fm(D)) divisible by Nm(D) with integer coefficients,
-    for gfm = G*Fm(D)."""
-    field = D.field
-    tvar = field.minpoly.variable
+    """Nm(X*D - G*Fm(D)) = det(X*M_D - M_(G*Fm)) divisible by Nm(D) with
+    integer coefficients, for gfm = G*Fm(D)."""
+    unames = gfm.unames
     xname = "X_"
-    while xname in D.unames or xname in gfm.unames or xname == tvar:
+    while xname in unames or xname == D.field.minpoly.variable:
         xname += "_"
-    xd, gfm = D._align(gfm)
-    # X*D - G*Fm as a MultiPoly in (tvar, xname, u...)
-    m_xd = xd.to_multipoly()
-    m_gfm = gfm.to_multipoly()
-    x = MultiPoly.var(xname, (xname,))
-    m = m_xd * x - m_gfm
-    w = resultant(field.minpoly.to_multipoly((tvar,)), m, tvar)
+    variables = unames + (xname,)
+    x = MultiPoly.var(xname, variables)
+    md, mg = _matrix(D, variables), _matrix(gfm, variables)
+    w = poly_matrix_det([[x * a - b for a, b in zip(ra, rb)] for ra, rb in zip(md, mg)])
     quo = w.div_exact(nm)
-    if quo is None:
-        return False
-    return quo.den == 1
+    return quo is not None and quo.den == 1
 
 
 def absolute_equiv(d1, d2):

@@ -210,11 +210,6 @@ def _draw_matrix(nvars, seed, attempt):
     return linalg.mat_mul(lower, upper)
 
 
-def _minor(m, i, j):
-    """m without row i and column j."""
-    return [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
-
-
 def _integral_inverse(m):
     """Inverse of a unimodular integer matrix, exactly, as integer rows: the
     adjugate over det m = +-1, entry (i, j) being
@@ -223,7 +218,7 @@ def _integral_inverse(m):
     if det not in (1, -1):
         raise AlgebraError("coordinate change is not unimodular")
     n = len(m)
-    return [[(-1) ** (i + j) * det * linalg.mat_det(_minor(m, j, i)) for j in range(n)] for i in range(n)]
+    return [[(-1) ** (i + j) * det * linalg.mat_det(linalg.minor(m, j, i)) for j in range(n)] for i in range(n)]
 
 
 def _apply_matrix(p, matrix, variables):

@@ -269,7 +269,7 @@ def _exact_quotient(a, b):
     Z[x], else None."""
     den = {(k,): c for k, c in enumerate(b) if c}
     num = {(k,): c for k, c in enumerate(a) if c}
-    quo = polyring.divide_terms(num, den, polyring._int_quotient(den))
+    quo = polyring.divide_terms(num, den)
     if quo is None:
         return None
     return [quo.get((k,), 0) for k in range(len(a) - len(b) + 1)]

@@ -71,6 +71,11 @@ def berkowitz_det(rows):
     return -c[-1] if n & 1 else c[-1]
 
 
+def minor(m, i, j):
+    """m without row i and column j."""
+    return [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
+
+
 def mat_mul(a, b):
     n, mid, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]

@@ -24,6 +24,7 @@ function.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 from math import prod
@@ -93,20 +94,22 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def divide_terms(num, den, quotient):
-    """Quotient of the term map num by the nonzero term map den, or None
-    when a remainder survives.
+def divide_terms(num, den):
+    """Quotient of the integer term map num by the nonzero integer term map
+    den over Z, or None when a remainder survives.
 
-    Graded-lex division by one divisor; num is consumed as the remainder.
-    quotient(c) returns the coefficient q with q * lc(den) == c, or None
-    when the coefficient ring holds none.  The coefficients need *, -,
-    unary - and a truth value, and the ring must have no zero divisors.
+    Integer-only: graded-lex division by one divisor, with num consumed as
+    the remainder.  It stops with None as soon as the leading remainder
+    term is not a multiple of den's leading term over Z, in coefficient or
+    in monomial.  For a primitive den this decides divisibility over Q as
+    well (Gauss's lemma).
 
     The leading remainder term comes off a heap of the exponents of num,
     each pushed as it enters num; one popped after it left num is skipped
     (Monagan and Pearce 2007, CASC).
     """
     de = max(den, key=_grlex_key)
+    lead = den[de]
     quo = {}
     heap = [_heap_key(e) for e in num]
     heapify(heap)
@@ -117,8 +120,8 @@ def divide_terms(num, den, quotient):
         qe = tuple(map(sub, ne, de))
         if qe and min(qe) < 0:
             return None
-        qc = quotient(num[ne])
-        if qc is None:
+        qc, r = divmod(num[ne], lead)
+        if r:
             return None
         quo[qe] = qc
         for e, c in den.items():
@@ -139,18 +142,6 @@ def _heap_key(exps):
     """A min-heap entry for exps that comes off first for the graded-lex
     largest exponent tuple."""
     return (-sum(exps), tuple(map(neg, exps)), exps)
-
-
-def _int_quotient(den):
-    """quotient(c) for divide_terms by the integer term map den: c / lc(den)
-    when that is an integer."""
-    lead = den[max(den, key=_grlex_key)]
-
-    def quotient(c):
-        q, r = divmod(c, lead)
-        return None if r else q
-
-    return quotient
 
 
 def power(base, k, one):
@@ -418,15 +409,27 @@ class MultiPoly:
         return result if self.den == 1 else result * Fraction(1, self.den)
 
     def eval_at(self, point):
-        """Full evaluation; point maps every used variable to a Fraction."""
+        """Full evaluation; point maps every used variable to a rational.
+
+        On integers: with L the lcm of the values' denominators, a term c*x^e
+        adds c * L^(d - |e|) * prod_v (L*x_v)^e_v, d the total degree, from
+        powers cached per variable; the sum is divided by L^d * den at the end.
+        """
+        if not self.num:
+            return _ZERO
+        tops = [max(col) for col in zip(*self.num)]
+        values = [Fraction(point[v]) if k else _ZERO for v, k in zip(self.variables, tops)]
+        scale = int_lcm(*(x.denominator for x in values))
+        powers = [
+            list(accumulate([x.numerator * (scale // x.denominator)] * k, mul, initial=1))
+            for x, k in zip(values, tops)
+        ]
+        d = max(map(sum, self.num))
+        lifts = list(accumulate([scale] * d, mul, initial=1))
         total = 0
         for e, c in self.num.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v *= Fraction(point[self.variables[i]]) ** k
-            total += v
-        return Fraction(total, self.den)
+            total += c * lifts[d - sum(e)] * prod(row[k] for row, k in zip(powers, e))
+        return Fraction(total, self.den * lifts[d])
 
     # -- views ---------------------------------------------------------------
 
@@ -472,7 +475,7 @@ class MultiPoly:
             return MultiPoly.zero(a.variables)
         g = int_gcd(*b.num.values())
         den = {e: c // g for e, c in b.num.items()}
-        quo = divide_terms(dict(a.num), den, _int_quotient(den))
+        quo = divide_terms(dict(a.num), den)
         if quo is None:
             return None
         return MultiPoly.from_ints(a.variables, {e: c * b.den for e, c in quo.items()}, g * a.den)
@@ -1073,7 +1076,7 @@ def _interpolate_last(h, xi):
 def _int_divides(h, f):
     """Whether the primitive integer term map h divides f in Z[x]; by Gauss's
     lemma that is divisibility over Q."""
-    return divide_terms(dict(f), h, _int_quotient(h)) is not None
+    return divide_terms(dict(f), h) is not None
 
 
 def _gcd_prs(p, q):
@@ -1162,6 +1165,8 @@ def poly_matrix_det(rows):
     n = len(rows)
     if n == 0:
         return MultiPoly.const(1)
+    if n == 1:
+        return rows[0][0]
     variables = list(rows[0][0].variables)
     for row in rows:
         for a in row:

@@ -65,6 +65,14 @@ PINNED = [
     (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "2"], 0, '{"divides": true}\n', ""),
     (["divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, "false\n", ""),
     (["--json", "divides", "--minpoly", "t^2 + 5", "--", "2 + (1 + t)*u1", "3"], 0, '{"divides": false}\n', ""),
+    (["divides", "--minpoly", "t^2 - 5", "--", "11 + (7/2 + 1/2*t)*u1", "7/2 + 1/2*t"], 0, "true\n", ""),
+    (["--json", "divides", "--minpoly", "t^2 - 5", "--", "11 + (7/2 + 1/2*t)*u1", "7/2 + 1/2*t"], 0, '{"divides": true}\n', ""),
+    (["divides", "--minpoly", "t^2 - 5", "--", "11 + (7/2 + 1/2*t)*u1", "3"], 0, "false\n", ""),
+    (["--json", "divides", "--minpoly", "t^2 - 5", "--", "11 + (7/2 + 1/2*t)*u1", "3"], 0, '{"divides": false}\n', ""),
+    (["divisor-gcd", "--minpoly", "t^2 - 5", "11", "7/2 + 1/2*t"], 0, "gcd divisor: 11*u1 + (1/2*t + 7/2)*u2\nnorm: 121*u1^2 + 77*u1*u2 + 11*u2^2\ncontent: 11\nFm: 11*u1^2 + 7*u1*u2 + u2^2\n", ""),
+    (["--json", "divisor-gcd", "--minpoly", "t^2 - 5", "11", "7/2 + 1/2*t"], 0, '{"content": 11, "fm": "11*u1^2 + 7*u1*u2 + u2^2", "form": "11*u1 + (1/2*t + 7/2)*u2", "norm": "121*u1^2 + 77*u1*u2 + 11*u2^2", "unit": false}\n', ""),
+    (["divisor-gcd", "--minpoly", "t^3 - t - 1", "5", "t - 2", "t^2 + t - 1"], 0, "gcd divisor: 5*u1 + (t - 2)*u2 + (t^2 + t - 1)*u3\nnorm: 125*u1^3 - 150*u1^2*u2 - 25*u1^2*u3 + 55*u1*u2^2 - 5*u1*u2*u3 - 20*u1*u3^2 - 5*u2^3 + 10*u2^2*u3 + 15*u2*u3^2 + 5*u3^3\ncontent: 5\nFm: 25*u1^3 - 30*u1^2*u2 - 5*u1^2*u3 + 11*u1*u2^2 - u1*u2*u3 - 4*u1*u3^2 - u2^3 + 2*u2^2*u3 + 3*u2*u3^2 + u3^3\n", ""),
+    (["--json", "divisor-gcd", "--minpoly", "t^3 - t - 1", "5", "t - 2", "t^2 + t - 1"], 0, '{"content": 5, "fm": "25*u1^3 - 30*u1^2*u2 - 5*u1^2*u3 + 11*u1*u2^2 - u1*u2*u3 - 4*u1*u3^2 - u2^3 + 2*u2^2*u3 + 3*u2*u3^2 + u3^3", "form": "5*u1 + (t - 2)*u2 + (t^2 + t - 1)*u3", "norm": "125*u1^3 - 150*u1^2*u2 - 25*u1^2*u3 + 55*u1*u2^2 - 5*u1*u2*u3 - 20*u1*u3^2 - 5*u2^3 + 10*u2^2*u3 + 15*u2*u3^2 + 5*u3^3", "unit": false}\n', ""),
     (["factor", "--", "2/3*x^2*y - 3/2*y"], 0, "1/6 * (2*x + 3) * (2*x - 3) * (y)\n", ""),
     (["--json", "factor", "--", "2/3*x^2*y - 3/2*y"], 0, '{"factors": [["2*x + 3", 1], ["2*x - 3", 1], ["y", 1]], "unit": "1/6"}\n', ""),
     (["factor", "--", "1/6*x^3 + 1/3*x^2 - 1/2*x"], 0, "1/6 * (x) * (x + 3) * (x - 1)\n", ""),

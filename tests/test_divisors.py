@@ -7,6 +7,8 @@ import pytest
 
 from kronecker.divisors import (
     DivisorForm,
+    _cofactor,
+    _matrix,
     absolute_equiv,
     decompose_prime,
     divides,
@@ -320,3 +322,83 @@ def test_negative_form_power_raises(K5):
 def test_bezout_witnesses_are_pinned(p, witnesses):
     decomp = decompose_prime(NumberField("t^3 - t - 1"), p)
     assert [{j: tuple(map(str, w)) for j, w in d.bezout.items()} for d in decomp] == witnesses
+
+
+def test_equal_forms_hash_alike(K5):
+    t = K5.gen()
+    pairs = [
+        # u1*t + u2 under both orders of the indeterminates
+        (DivisorForm(K5, ("u1", "u2"), {(1, 0): t, (0, 1): 1}), DivisorForm(K5, ("u2", "u1"), {(0, 1): t, (1, 0): 1})),
+        # t*u1 with and without an unused u2
+        (DivisorForm(K5, ("u1",), {(1,): t}), DivisorForm(K5, ("u1", "u2"), {(1, 0): t})),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def _coeffs_over(F, unames):
+    """The AlgNum coefficients of F keyed by exponents over unames."""
+    return {tuple(e[F.unames.index(u)] if u in F.unames else 0 for u in unames): c for e, c in F.coeffs.items()}
+
+
+def _divide_forms_by_rescan(G, D):
+    """G / D in K[u] by graded-lex long division over AlgNum coefficients,
+    the leading remainder term found by a max over the whole remainder at
+    every step; None when a remainder survives."""
+    unames = D.unames + tuple(u for u in G.unames if u not in D.unames)
+    num, den = _coeffs_over(G, unames), _coeffs_over(D, unames)
+    key = lambda e: (sum(e), e)  # noqa: E731
+    de = max(den, key=key)
+    inv = den[de].inverse()
+    quo = {}
+    while num:
+        ne = max(num, key=key)
+        qe = tuple(i - j for i, j in zip(ne, de))
+        if qe and min(qe) < 0:
+            return None
+        qc = quo[qe] = num[ne] * inv
+        for e, c in den.items():
+            k = tuple(i + j for i, j in zip(e, qe))
+            v = num[k] - qc * c if k in num else -(qc * c)
+            if v.is_zero:
+                del num[k]
+            else:
+                num[k] = v
+    return DivisorForm(D.field, unames, quo)
+
+
+def _random_integral(rng, K):
+    """A random algebraic integer of K; over t^2 - 5 half of them are
+    (a + b*t)/2 with a = b mod 2."""
+    if K.minpoly.num == (-5, 0, 1) and rng.random() < 0.5:
+        a = rng.randint(-4, 4)
+        return K.element([Fraction(a, 2), Fraction(a + 2 * rng.randint(-2, 2), 2)])
+    return K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+
+
+def _random_integral_form(rng, K, names):
+    while True:
+        coeffs = {tuple(rng.randint(0, 1) for _ in names): _random_integral(rng, K) for _ in range(rng.randint(1, 3))}
+        if any(not c.is_zero for c in coeffs.values()):
+            return DivisorForm(K, names, coeffs)
+
+
+@pytest.mark.parametrize("minpoly", ["t^2 + 1", "t^2 - 5", "t^3 - t - 1"])
+def test_cofactor_gives_the_norm_and_the_long_division_quotient(minpoly):
+    """D*C = Nm(D), and G*C/content equals the K[u] quotient of G*Fm(D) by D."""
+    K = NumberField(minpoly)
+    rng = random.Random(71)
+    names = ("u1", "u2", "u3")
+    halves = 0
+    for _ in range(25):
+        D = _random_integral_form(rng, K, names[: rng.randint(1, 3)])
+        G = _random_integral_form(rng, K, tuple(rng.sample(names, rng.randint(1, 3))))
+        halves += D.poly.den == 2
+        nm, content, fm = form_norm_content_fm(D)
+        C = _cofactor(D, _matrix(D, D.unames))
+        assert (D * C).poly == form_norm(D) == nm
+        quo = G * C * Fraction(1, content)
+        ref = _divide_forms_by_rescan(G * DivisorForm.from_multipoly(K, fm), D)
+        assert quo == ref
+        assert divides(D, G) == ref.is_integral_form()
+    assert halves > 0 or minpoly != "t^2 - 5"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from kronecker import polyring
 from kronecker.errors import AlgebraError, DomainError, ParseError
-from kronecker.numberfield import NumberField
 from kronecker.polyring import (
     MultiPoly,
     UniPoly,
@@ -592,12 +591,15 @@ def test_div_exact_matches_a_fraction_division_reference():
 
 
 def test_divide_terms_stops_without_a_coefficient_quotient():
-    halves = lambda c: c // 2 if c % 2 == 0 else None  # noqa: E731
-    assert polyring.divide_terms({(2,): 4, (1,): -2, (0,): -6}, {(1,): 2, (0,): 2}, halves) == {(1,): 2, (0,): -3}
-    assert polyring.divide_terms({(2,): 3}, {(1,): 2}, halves) is None
+    # (2x + 2)(2x - 3) = 4x^2 - 2x - 6 divides over Z
+    assert polyring.divide_terms({(2,): 4, (1,): -2, (0,): -6}, {(1,): 2, (0,): 2}) == {(1,): 2, (0,): -3}
+    # 3x^2 / 2x: the leading coefficient 3 is not a multiple of 2
+    assert polyring.divide_terms({(2,): 3}, {(1,): 2}) is None
+    # 2x^2 + x over 2x + 2: the first step goes through, the second stops at -x / 2x
+    assert polyring.divide_terms({(2,): 2, (1,): 1}, {(1,): 2, (0,): 2}) is None
 
 
-def _divide_terms_by_rescan(num, den, quotient):
+def _divide_terms_by_rescan(num, den):
     """divide_terms with the leading remainder term found by a max over
     the whole remainder at every step."""
     key = lambda e: (sum(e), e)  # noqa: E731
@@ -608,8 +610,8 @@ def _divide_terms_by_rescan(num, den, quotient):
         qe = tuple(i - j for i, j in zip(ne, de))
         if qe and min(qe) < 0:
             return None
-        qc = quotient(num[ne])
-        if qc is None:
+        qc, r = divmod(num[ne], den[de])
+        if r:
             return None
         quo[qe] = qc
         for e, c in den.items():
@@ -633,35 +635,49 @@ def _rand_terms(rng, nvars, coeff):
     return terms
 
 
-def _field_quotient(den):
-    """quotient(c) for divide_terms over a field: c / lc(den)."""
-    inv = den[max(den, key=polyring._grlex_key)].inverse()
-    return lambda c: c * inv
-
-
 def test_heap_division_matches_a_rescan_reference():
     rng = random.Random(29)
-    K = NumberField(parse_poly("t^3 - t - 1"))
-    rings = [
-        (lambda: rng.randint(-9, 9), polyring._int_quotient),
-        (lambda: K.element([rng.randint(-3, 3) for _ in range(3)]), _field_quotient),
-    ]
+    coeff = lambda: rng.randint(-9, 9)  # noqa: E731
     outcomes = set()
-    for ring, (coeff, quotient) in enumerate(rings):
-        for _ in range(150):
-            nvars = rng.randint(1, 3)
-            den, q = _rand_terms(rng, nvars, coeff), _rand_terms(rng, nvars, coeff)
-            num = polyring.mul_terms(den, q)
-            if rng.random() < 0.4:
-                num = polyring.add_scaled_terms(num, _rand_terms(rng, nvars, coeff), 1)
-            if not num:
-                continue
-            got = polyring.divide_terms(dict(num), den, quotient(den))
-            assert got == _divide_terms_by_rescan(dict(num), den, quotient(den))
-            outcomes.add((ring, got is None))
-            if got is not None:
-                assert polyring.mul_terms(den, got) == num
-    assert outcomes == {(0, False), (0, True), (1, False), (1, True)}
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        den, q = _rand_terms(rng, nvars, coeff), _rand_terms(rng, nvars, coeff)
+        num = polyring.mul_terms(den, q)
+        if rng.random() < 0.4:
+            num = polyring.add_scaled_terms(num, _rand_terms(rng, nvars, coeff), 1)
+        if not num:
+            continue
+        got = polyring.divide_terms(dict(num), den)
+        assert got == _divide_terms_by_rescan(dict(num), den)
+        outcomes.add(got is None)
+        if got is not None:
+            assert polyring.mul_terms(den, got) == num
+    assert outcomes == {False, True}
+
+
+def _eval_by_fractions(p, point):
+    """MultiPoly evaluation term by term on Fractions."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for v, k in zip(p.variables, e):
+            if k:
+                c *= Fraction(point[v]) ** k
+        total += c
+    return total
+
+
+def test_eval_at_matches_a_fraction_reference():
+    rng = random.Random(31)
+    values = [0, 0, 1, -1, 3, -7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-9, 10)]
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        p = rand_poly(rng, nvars=nvars, max_deg=4, nterms=rng.randint(0, 6), den=rng.choice((1, 6)))
+        # an unused variable with no value in the point
+        p = p.with_variables(p.variables + ("s",))
+        point = {v: rng.choice(values) for v in p.variables[:-1]}
+        got = p.eval_at(point)
+        assert got == _eval_by_fractions(p, point) and type(got) is Fraction
+    assert parse_poly("x^3 - 2*x*y + 5").eval_at({"x": Fraction(-3, 2), "y": Fraction(1, 3)}) == Fraction(-27, 8) + 1 + 5
 
 
 def _str_by_fractions(p):
