@@ -4,27 +4,27 @@ Classes are generated by the prime divisors of norm at most
 M = ceil((2/pi) sqrt|disc|).  `quadratic_field` builds the maximal order, in
 which every divisor class holds exactly one reduced binary quadratic form of
 discriminant disc (Gauss; Cohen, A Course in Computational Algebraic Number
-Theory, section 5.2).  Each divisor the search handles is keyed by that
-form: a prime divisor (p, t - r) by (p, 2r - 1, (r^2 - r + (1-d)/4)/p) when
-d = 1 mod 4 and by (p, 2r, (r^2 - d)/p) otherwise, an inert prime by the
-identity form, and a product by the reduced Dirichlet composition of the
-keys of its factors.  Class lookup, closure and element orders are integer
-work, and two divisors with different keys lie in different classes by the
+Theory, section 5.2).  One map, `_ideal_form`, takes a divisor to the ideal
+I of its coefficients, written I = g*(aZ + (r + theta)Z) by its Hermite
+normal form, and to the form (a, b, c) = N(a*x + (r + theta)*y)/a of
+discriminant disc.  A prime divisor is keyed by the reduced form of its
+ideal, and a product by the reduced Dirichlet composition of the keys of
+its factors.  Class lookup, closure and element orders are integer work,
+and two divisors with different keys lie in different classes by the
 uniqueness of reduced forms.
 
-The paper's divisor arithmetic certifies the rest.  Principality of a
-divisor of norm N is decided by exhaustive search over the elements of
-norm N (the definite norm form a^2 + |d| b^2 = N, or a^2 + |disc| b^2 = 4N
-for half-integer coefficients), through the divisor module's exact
-divisibility tests.  Two facts are checked that way, and a failure raises
-AlgebraError: a small prime divisor D whose key names an existing class
-with representative R makes D * conj(R) principal (D itself for the
-principal class), and a representative of order k > 1 has a principal
-k-th power.
+Principality is decided by reducing the ideal's form: I is principal
+exactly when the reduction reaches the identity form, and then the first
+column (x, y) of the reducing SL2(Z) transformation gives the generator
+g*(a*x + (r + theta)*y) of norm g^2*a, in O(log a) steps.  The paper's
+divisor arithmetic certifies that generator by mutual divisibility, and one
+that fails raises AlgebraError.  Two facts are checked that way: a small
+prime divisor D whose key names an existing class with representative R
+makes D * conj(R) principal (D itself for the principal class), and a
+representative of order k > 1 has a principal k-th power.
 """
 
-from fractions import Fraction
-from math import ceil, isqrt, pi
+from math import ceil, gcd, pi
 
 from kronecker import modp, primes
 from kronecker.divisors import (
@@ -32,12 +32,14 @@ from kronecker.divisors import (
     PrimeDivisor,
     absolute_equiv,
     decompose_prime,
-    form_norm_content_fm,
 )
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import NumberField
 from kronecker.polyring import UniPoly
 
+# The slowest squarefree d under the cap is -194 (h = 20): 7-12 s in-process
+# and about 10.5 s as one CLI call (2 cores, Python 3.11.7), nearly all of it
+# in the divisor tests of the order certificates.
 MAX_ABS_D = 200
 
 
@@ -72,51 +74,6 @@ def quadratic_field(d):
     return NumberField(minpoly)
 
 
-def _norm_elements(field, d, n):
-    """All elements of the order with norm exactly n (n > 0)."""
-    out = []
-    if d % 4 == 1:
-        # (a + b sqrt d)/2, a = b mod 2, norm (a^2 + |d| b^2)/4
-        target = 4 * n
-        bmax = isqrt(target // abs(d))
-        for b in range(-bmax, bmax + 1):
-            rest = target - abs(d) * b * b
-            if rest < 0:
-                continue
-            a = isqrt(rest)
-            if a * a != rest or (a - b) % 2:
-                continue
-            for aa in {a, -a}:
-                out.append(field.element([Fraction(aa - b, 2), b]))
-    else:
-        bmax = isqrt(n // abs(d)) if abs(d) <= n else 0
-        for b in range(-bmax, bmax + 1):
-            rest = n - abs(d) * b * b
-            if rest < 0:
-                continue
-            a = isqrt(rest)
-            if a * a != rest:
-                continue
-            for aa in {a, -a}:
-                out.append(field.element([aa, b]))
-    return [x for x in out if not x.is_zero]
-
-
-def _norm_of(form):
-    return form_norm_content_fm(form)[1]
-
-
-def principal_generator(form, d):
-    """An element generating the divisor, or None when the class is not
-    principal; exhaustive over the finitely many elements of matching norm."""
-    n = _norm_of(form)
-    for x in _norm_elements(form.field, d, n):
-        cand = DivisorForm.constant(form.field, x)
-        if absolute_equiv(form, cand):
-            return x
-    return None
-
-
 def _ramified_divisor(field, p):
     """The divisor above a ramified prime via the double root mod p."""
     _, factors = modp.factor(field.minpoly.num, p)
@@ -142,16 +99,21 @@ def _small_prime_divisors(field, disc, bound):
 
 def _reduce_form(a, b, c):
     """The reduced form equivalent to the positive definite (a, b, c):
-    |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen, Alg. 5.4.2)."""
+    |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen, Alg. 5.4.2);
+    with the first column (x, y) of the SL2(Z) transformation that reaches
+    it, so (a, b, c) takes the reduced a at (x, y)."""
+    x, y, z, w = 1, 0, 0, 1  # the transformation's columns (x, y), (z, w)
     while True:
         if not -a < b <= a:
             q, r = divmod(b, 2 * a)
             if r > a:
                 q, r = q + 1, r - 2 * a
             b, c = r, c - q * (b + r) // 2
-        if a <= c:
-            return (a, -b, c) if a == c and b < 0 else (a, b, c)
+            z, w = z - q * x, w - q * y
+        if a < c or a == c and b >= 0:
+            return (a, b, c), (x, y)
         a, b, c = c, -b, a
+        x, y, z, w = z, w, -x, -y
 
 
 def _xgcd(a, b):
@@ -174,24 +136,11 @@ def _compose(f, g, disc):
     v1, v2 = a1 // d1, a2 // d1
     r = (-y1 * v * n - x2 * c2) % v1
     a3, b3 = v1 * v2, b2 + 2 * v2 * r
-    return _reduce_form(a3, b3, (b3 * b3 - disc) // (4 * a3))
+    return _reduce_form(a3, b3, (b3 * b3 - disc) // (4 * a3))[0]
 
 
 def _identity_form(disc):
     return (1, disc % 2, (disc % 2 - disc) // 4)
-
-
-def _prime_form(p, local_factor, d):
-    """The reduced form keying the prime divisor p + u*local_factor(theta)
-    of Q(sqrt d): the identity for an inert p, else the form of the ideal
-    (p, theta - r) at the root r of the monic linear local factor."""
-    disc = d if d % 4 == 1 else 4 * d
-    if local_factor.degree != 1:
-        return _identity_form(disc)
-    r = -local_factor.num[0] % p
-    if d % 4 == 1:
-        return _reduce_form(p, 2 * r - 1, (r * r - r + (1 - d) // 4) // p)
-    return _reduce_form(p, 2 * r, (r * r - d) // p)
 
 
 def _form_order(key, disc):
@@ -201,6 +150,53 @@ def _form_order(key, disc):
     while power != one:
         k, power = k + 1, _compose(power, key, disc)
     return k
+
+
+def _ideal_form(D):
+    """(g, (a, b, c)) for the ideal I of D's coefficients, I = g*(aZ + (r +
+    theta)Z), from the Hermite normal form of the lattice spanned by the
+    coefficients and their theta-multiples; (a, b, c) = (a, 2r + tr theta,
+    N(r + theta)/a) is the form N(a*x + (r + theta)*y)/a of I/g."""
+    if D.poly.den != 1:
+        raise DomainError("form has a non-integral coefficient")
+    p0, p1, _ = D.field.minpoly.num  # theta^2 = -p1*theta - p0
+    A = B = C = 0  # I = A*Z + (B + C*theta)*Z
+    for x, y in D._columns().values():
+        for u, v in ((x, y), (-p0 * y, x - p1 * y)):
+            g, s, t = _xgcd(C, v)
+            if g:
+                A, B, C = gcd(A, C // g * u - v // g * B), s * B + t * u, g
+            else:
+                A = gcd(A, u)
+    if C < 0:
+        B, C = -B, -C
+    if A % C or B % C:
+        raise AlgebraError("the coefficients of a divisor form span no ideal")
+    a, r = A // C, B // C % (A // C)
+    return C, (a, 2 * r - p1, (r * r - p1 * r + p0) // a)
+
+
+def _norm_of(form):
+    g, (a, _, _) = _ideal_form(form)
+    return g * g * a
+
+
+def principal_generator(form):
+    """An element generating the divisor, or None when its class is not
+    principal: the reduction of the ideal's form reaches the identity
+    exactly when I is principal, and then its first column (x, y) gives the
+    generator g*(a*x + (r + theta)*y) of norm g^2*a, certified by the
+    divisor arithmetic."""
+    field = form.field
+    g, (a, b, c) = _ideal_form(form)
+    reduced, (x, y) = _reduce_form(a, b, c)
+    if reduced != _identity_form(field.disc):
+        return None
+    r = (b + field.minpoly.num[1]) // 2
+    alpha = field.element([g * (a * x + r * y), g * y])
+    if not absolute_equiv(form, DivisorForm.constant(field, alpha)):
+        raise AlgebraError(f"reduction gave {alpha}, which does not generate {form}")
+    return alpha
 
 
 def class_number_imag_quadratic(d):
@@ -227,14 +223,14 @@ def class_number_imag_quadratic(d):
     classes = {one: DivisorForm.constant(fieldK, 1)}
     prime_keys = []
     for pd in small:
-        key = _prime_form(pd.p, pd.local_factor, d)
+        key = _reduce_form(*_ideal_form(pd.form)[1])[0]
         prime_keys.append(key)
         rep = classes.get(key)
         if rep is None:
             classes[key] = pd.form
             continue
         quotient = pd.form if key == one else pd.form * rep.conj_quadratic()
-        if principal_generator(quotient, d) is None:
+        if principal_generator(quotient) is None:
             raise AlgebraError(f"prime divisor {pd.form} is not in the class of {rep}")
     # close under multiplication by the small prime divisors
     changed = True
@@ -252,7 +248,7 @@ def class_number_imag_quadratic(d):
         order = _form_order(key, disc)
         if h % order:
             raise AlgebraError("element order does not divide the class number")
-        if order > 1 and principal_generator(rep**order, d) is None:
+        if order > 1 and principal_generator(rep**order) is None:
             raise AlgebraError(f"{rep} to the power {order} is not principal")
         result.class_representatives.append((rep, _norm_of(rep), order))
     return result
