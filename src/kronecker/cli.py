@@ -124,18 +124,23 @@ def _cmd_parametrize(args):
     return _emit(args, dec.to_json(), lines)
 
 
-def _parse_u(text, n):
-    if text is None:
-        return None
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != n:
+def _weights(text):
+    """The --u type: comma-separated integers, else a usage error."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"comma-separated integer weights expected, got {text!r}") from None
+
+
+def _check_u(u, n):
+    if u is not None and len(u) != n:
         raise AlgebraError(f"need {n} comma-separated weights")
-    return tuple(parts)
+    return u
 
 
 def _cmd_galois(args):
     f = UniPoly.from_multipoly(parse_poly(args.expr))
-    res = galois.galois_group(f, u=_parse_u(args.u, f.degree))
+    res = galois.galois_group(f, u=_check_u(args.u, f.degree))
     lines = [
         f"order {res.order}",
         "factor pattern: " + "+".join(str(d) for d in res.factor_pattern),
@@ -147,7 +152,7 @@ def _cmd_galois(args):
 
 def _cmd_resolvent(args):
     f = UniPoly.from_multipoly(parse_poly(args.expr))
-    u = _parse_u(args.u, f.degree) or tuple(range(f.degree))
+    u = _check_u(args.u, f.degree) or tuple(range(f.degree))
     r = galois.resolvent_total_symmetric(f, u)
     payload = {"u": list(u), "resolvent": str(r)}
     return _emit(args, payload, [str(r)])
@@ -300,12 +305,12 @@ def build_parser():
 
     p = sub.add_parser("galois", help="Galois group via resolvent factorization")
     p.add_argument("expr")
-    p.add_argument("--u", default=None, help="comma-separated integer weights")
+    p.add_argument("--u", type=_weights, default=None, help="comma-separated integer weights")
     p.set_defaults(func=_cmd_galois)
 
     p = sub.add_parser("resolvent", help="total resolvent in the splitting algebra")
     p.add_argument("expr")
-    p.add_argument("--u", default=None)
+    p.add_argument("--u", type=_weights, default=None, help="comma-separated integer weights")
     p.set_defaults(func=_cmd_resolvent)
 
     p = sub.add_parser("genus-disc", help="det^2 = D^(n!/2) identity check")

@@ -11,21 +11,23 @@ multiplication by it:
     R(X) = prod over s in S_n of (X - v_s),  v_s = u_1 r_(s(1)) + ... + u_n r_(s(n)),
 
 of degree n!, over the roots r_i of f.  Each coefficient of R is an integer
-polynomial in u and the coefficients of f.  So when f is monic, squarefree
-and integral and u is integral, R is read off roots modulo a prime power:
-at a prime p >= 3 where f splits into distinct linear factors, the roots
-mod p are Hensel-lifted (von zur Gathen and Gerhard, Alg. 15.17) to p-adic
-roots a_i modulo m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i|
-times an integer bound on the roots of f.  Every v_s then has absolute
-value at most beta, so the coefficient of X^(N-k) in a product of N of the
-factors X - v_s is at most C(N, k) beta^k, and the product of all n!
-factors, taken modulo m and lifted to the symmetric range, is R exactly.
-Every such product over a set of root sums, R itself and the orbit and
-coset polynomials below, is one call to modp.from_roots: a product tree
-whose inner nodes are each one integer product by Kronecker substitution
-(von zur Gathen and Gerhard, §8.4 and Alg. 10.3).  Any other input, with
-repeated roots or rational coefficients or weights, takes the
-characteristic polynomial of the multiplication matrix.
+polynomial in u and the coefficients of f.  So once rational coefficients
+and weights are scaled out, leaving a monic integral f and integral u, R is
+read off roots modulo a prime power: at a prime p >= 3 where the squarefree
+part of f splits into distinct linear factors, its roots mod p are
+Hensel-lifted (von zur Gathen and Gerhard, Alg. 15.17) to p-adic roots
+modulo m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i| times an
+integer bound on the roots of f, and each is repeated by its multiplicity
+in f.  Every v_s then has absolute value at most beta, so the coefficient
+of X^(N-k) in a product of N of the factors X - v_s is at most
+C(N, k) beta^k, and the product of all n! factors, taken modulo m and
+lifted to the symmetric range, is R exactly.  Every such product over a set
+of root sums, R itself and the orbit and coset polynomials below, is one
+call to modp.from_roots: a product tree whose inner nodes are each one
+integer product by Kronecker substitution (von zur Gathen and Gerhard, §8.4
+and Alg. 10.3).  SplittingAlgebra builds the algebra itself; its
+total_resolvent, the characteristic polynomial of multiplication, is the
+definition and the reference the lifted roots are tested against.
 
 The Galois group is found on the same p-adic roots (Stauduhar 1973; Geissler
 and Kluners 2000).  The roots of the monic integer model of f are numbered
@@ -56,7 +58,7 @@ both groups have the same order, and costs no closure.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
@@ -85,7 +87,14 @@ def _splittable(f):
 
 
 class SplittingAlgebra:
-    """Q[x_1..x_n]/(symmetric relations of f), dimension n!."""
+    """Q[x_1..x_n]/(symmetric relations of f), dimension n!.
+
+    The definition of the total resolvent, as the norm of
+    u_1 x_1 + ... + u_n x_n in this algebra, and the reference that
+    resolvent_total_symmetric is checked against.  Its matrices have
+    dimension n!, up to 120, so neither resolvent_total_symmetric nor
+    galois_group builds it.
+    """
 
     def __init__(self, f):
         f = _splittable(f)
@@ -165,40 +174,61 @@ class SplittingAlgebra:
             cols.append(col)
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
+    def total_resolvent(self, u):
+        """The characteristic polynomial of multiplication by
+        u_1 x_1 + ... + u_n x_n."""
+        if len(u) != self.n:
+            raise DomainError("need one weight per root")
+        ell = MultiPoly.zero(self.variables)
+        for ui, r in zip(u, self.roots()):
+            ell = ell + r * Fraction(ui)
+        return UniPoly("x", charpoly(self.multiplication_matrix(ell)))
+
 
 def resolvent_total_symmetric(f, u):
     """The total resolvent of the monic f at the weights u: the degree-n!
     polynomial whose roots with multiplicity are the values
     u_1 r_(s(1)) + ... + u_n r_(s(n)) over all permutations s.
 
-    For squarefree integral f and integral u, it is the product of
-    X - (u_1 a_(s(1)) + ... + u_n a_(s(n))) over lifted roots a_i modulo
-    a prime power above twice every coefficient's bound; otherwise it is
-    the characteristic polynomial of multiplication by u . (x_1, ..., x_n)
-    in the splitting algebra.
+    Rational coefficients and weights are scaled out first.  f is monic, so
+    its primitive part is f.num, of leading coefficient a = f.den, and the
+    roots of F = _monic_integer_model(f) are a r_i.  With e the lcm of the
+    weights' denominators and w = e u, the root sums of F at w are e a v_s,
+    so R(X) = (ea)^(-N) R_(F,w)(eaX), N = n!.  R_(F,w) has integer
+    coefficients and is the product of X - (w_1 a_(s(1)) + ... + w_n a_(s(n)))
+    over roots a_i lifted modulo a prime power above twice every
+    coefficient's bound, so it is exact.  Repeated roots need no other
+    route: the roots of the squarefree part S of F are lifted at a prime p
+    where S splits into distinct linear factors, and each is repeated by its
+    multiplicity in F mod p.  S mod p is squarefree, so the squarefree
+    factors of F stay coprime mod p, and that multiplicity is the one over
+    Q.  The bound on the roots of F holds for them unchanged.
     """
     f = _splittable(f)
     if len(u) != f.degree:
         raise DomainError("need one weight per root")
     u = [Fraction(ui) for ui in u]
-    if f.has_integer_coeffs() and all(ui.denominator == 1 for ui in u) and _squarefree(f):
-        F = f.num
-        return _resolvent(*_lifted_root_sums(F, [int(ui) for ui in u], _split_prime(F)))
-    alg = SplittingAlgebra(f)
-    ell = MultiPoly.zero(alg.variables)
-    for ui, r in zip(u, alg.roots()):
-        ell = ell + r * ui
-    return UniPoly("x", charpoly(alg.multiplication_matrix(ell)))
+    e = lcm(*(ui.denominator for ui in u))
+    w = [int(ui * e) for ui in u]
+    F = _monic_integer_model(f)
+    S = F.squarefree_part().num
+    values, m = _lifted_root_sums(F.num, w, _split_prime(S), S)
+    scale = e * f.den
+    R = _resolvent(values, m).num
+    return UniPoly("x", [c * scale**j for j, c in enumerate(R)], scale ** len(values))
 
 
-def _lifted_root_sums(F, u, p):
-    """(values, m): the root sums v_s of the monic squarefree integer
-    coefficient list F at the integer weights u, in itertools order, over
-    its roots lifted at the split prime p to m = p^k, the least prime power
-    above twice every coefficient bound of the total resolvent."""
+def _lifted_root_sums(F, u, p, S=None):
+    """(values, m): the root sums v_s of the monic integer coefficient list
+    F at the integer weights u, in itertools order, over its roots lifted to
+    m = p^k, the least prime power above twice every coefficient bound of
+    the total resolvent.  S, the squarefree part of F and F itself by
+    default, splits into distinct linear factors mod p; its lifted roots
+    are repeated by their multiplicities in F mod p."""
     k = _lift_exponent(F, u, p)
     m = p**k
-    return _root_sums(_numeric_roots(F, p, k), u, m), m
+    roots = [a for a in _numeric_roots(S or F, p, k) for _ in range(_multiplicity(F, a % p, p))]
+    return _root_sums(roots, u, m), m
 
 
 def _resolvent(values, m):
@@ -237,6 +267,16 @@ def _numeric_roots(F, p, k):
     lifted = _hensel_lift(F, [[-a % p, 1] for a in modp.roots(F, p)], p, (k - 1).bit_length())
     m = p**k
     return [-g[0] % m for g in lifted]
+
+
+def _multiplicity(F, r, p):
+    """The multiplicity of r as a root of F mod p."""
+    f, k = modp.trim(F, p), 0
+    while True:
+        f, rest = modp.quo_rem(f, [-r % p, 1], p)
+        if rest:
+            return k
+        k += 1
 
 
 def _root_sums(a, u, m):

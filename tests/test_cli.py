@@ -55,6 +55,8 @@ PINNED = [
     (["--json", "resolvent", "--", "x^2 - 2*x + 1"], 0, '{"resolvent": "x^2 - 2*x + 1", "u": [0, 1]}\n', ""),
     (["resolvent", "--", "x^2 + 1/2"], 0, "x^2 + 1/2\n", ""),
     (["--json", "resolvent", "--", "x^2 + 1/2"], 0, '{"resolvent": "x^2 + 1/2", "u": [0, 1]}\n', ""),
+    (["resolvent", "--u", "1,0,2", "--", "(x - 1)^2*(x + 2)"], 0, "x^6 - 18*x^4 + 81*x^2\n", ""),
+    (["--json", "resolvent", "--u", "1,0,2", "--", "(x - 1)^2*(x + 2)"], 0, '{"resolvent": "x^6 - 18*x^4 + 81*x^2", "u": [1, 0, 2]}\n', ""),
     (["prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "7"], 0, "p=7 f=1 local_factor=t + 2 form=(t + 2)*u1 + 7 certified=true\np=7 f=2 local_factor=t^2 + 5*t + 3 form=(t^2 + 5*t + 3)*u2 + 7 certified=true\n", ""),
     (["--json", "prime-decomp", "--minpoly", "t^3 - t - 1", "--p", "7"], 0, '[{"certified": true, "f": 1, "local_factor": [2, 1], "p": 7}, {"certified": true, "f": 2, "local_factor": [3, 5, 1], "p": 7}]\n', ""),
     (["prime-decomp", "--minpoly", "t^2 + 5", "--p", "3"], 0, "p=3 f=1 local_factor=t + 1 form=(t + 1)*u1 + 3 certified=true\np=3 f=1 local_factor=t + 2 form=(t + 2)*u2 + 3 certified=true\n", ""),
@@ -165,6 +167,23 @@ def test_malformed_input_exits_without_a_traceback(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize("command", ["galois", "resolvent"])
+def test_malformed_weights_are_a_usage_error_and_a_wrong_count_a_domain_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--u", "a,b", "--", "x^2 + 1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: kronecker {command} ")
+    assert err.endswith("error: argument --u: comma-separated integer weights expected, got 'a,b'\n")
+    assert main([command, "--u", "1,2,3", "--", "x^2 + 1"]) == 1
+    assert capsys.readouterr() == ("", "error: need 2 comma-separated weights\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert "comma-separated integer weights" in capsys.readouterr().out
 
 
 def test_one_process_answers_as_fresh_processes_do(capsys):

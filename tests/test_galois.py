@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kronecker import galois, linalg, modp, primes
+from kronecker import galois, modp, primes
 from kronecker.errors import DomainError
 from kronecker.galois import (
     GaloisResult,
@@ -74,18 +74,10 @@ def test_resolvent_roots_are_weighted_root_sums():
     assert r == UniPoly("x", [20, -9, 1])  # (X-5)(X-4)
 
 
-def _charpoly_resolvent(f, u):
-    """The norm of u . (x_1, ..., x_n) in the splitting algebra of f."""
-    alg = SplittingAlgebra(f)
-    ell = MultiPoly.zero(alg.variables)
-    for ui, r in zip(u, alg.roots()):
-        ell = ell + r * Fraction(ui)
-    return UniPoly("x", linalg.charpoly(alg.multiplication_matrix(ell)))
-
-
 def _lifted_roots_sample():
-    """(coefficients low to high, weights) for monic squarefree integer f of
-    degree 1-5, irreducible and reducible, and a seeded random part."""
+    """(coefficients low to high, weights) for monic f of degree 1-5:
+    squarefree and integral, irreducible and reducible, a seeded random
+    part, then repeated roots and rational coefficients and weights."""
     rng = random.Random(97)
     sample = [
         ([-2, 1], (5,)),
@@ -108,25 +100,40 @@ def _lifted_roots_sample():
         coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
         if galois._squarefree(UniPoly("x", coeffs)):
             sample.append((coeffs, tuple(rng.randint(-3, 3) for _ in range(n))))
-    return sample
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return sample + [
+        ([-4, 4, 4, -4, -1, 1], (0, 1, 2, 3, 4)),  # (x^2 - 2)^2 (x - 1)
+        ([-1, 3, -3, 1], (1, 2, 3)),  # (x - 1)^3
+        ([0, 0, 0, 0, 1], (1, 0, 2, 5)),  # x^4
+        ([2, -3, 0, 1], (1, 0, 2)),  # (x - 1)^2 (x + 2)
+        ([Fraction(2, 5), -third, 0, 1], (half, -1, Fraction(2, 3))),
+        ([Fraction(1, 12), -Fraction(1, 12), -Fraction(2, 3), 1], (third, 2, Fraction(-5, 4))),  # (x - 1/2)^2 (x + 1/3)
+        ([Fraction(-9, 7), 0, 1], (half, Fraction(-3, 4))),
+    ]
+
+
+def _no_charpoly(matrix):
+    raise AssertionError("took the splitting-algebra charpoly")
 
 
 def test_resolvent_from_lifted_roots_equals_the_charpoly(monkeypatch):
-    def no_charpoly(matrix):
-        raise AssertionError("took the splitting-algebra charpoly")
-
     polyroots = pytest.importorskip("mpmath").polyroots
-    # the oracle calls linalg.charpoly, the route under test galois.charpoly
-    monkeypatch.setattr(galois, "charpoly", no_charpoly)
-    for coeffs, u in _lifted_roots_sample():
-        f = UniPoly("x", coeffs)
-        assert resolvent_total_symmetric(f, u) == _charpoly_resolvent(f, u), (coeffs, u)
-        roots = polyroots(coeffs[::-1], maxsteps=200, extraprec=30)
-        assert max(abs(r) for r in roots) <= galois._root_bound(coeffs)
+    sample = [(UniPoly("x", coeffs), u) for coeffs, u in _lifted_roots_sample()]
+    references = [SplittingAlgebra(f).total_resolvent(u) for f, u in sample]
+    monkeypatch.setattr(galois, "charpoly", _no_charpoly)
+    for (f, u), expected in zip(sample, references):
+        assert resolvent_total_symmetric(f, u) == expected, (f, u)
+        # the bound on the monic integer model's roots, found on its
+        # squarefree part, where they are simple
+        F = galois._monic_integer_model(f)
+        roots = polyroots(F.squarefree_part().num[::-1], maxsteps=200, extraprec=30)
+        assert max(abs(r) for r in roots) <= galois._root_bound(F.num)
 
 
-def test_inputs_outside_the_lifted_route_keep_the_charpoly():
-    # repeated roots, rational coefficients and rational weights
+def test_repeated_roots_and_rational_inputs_keep_their_values(monkeypatch):
+    # repeated roots, rational coefficients and rational weights, pinned
+    # while they took the splitting-algebra charpoly
+    monkeypatch.setattr(galois, "charpoly", _no_charpoly)
     for f, u, expected in (
         (UniPoly("x", [1, -2, 1]), (1, 2), UniPoly("x", [9, -6, 1])),
         (UniPoly("x", [Fraction(1, 2), 0, 1]), (0, 1), UniPoly("x", [Fraction(1, 2), 0, 1])),

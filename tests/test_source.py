@@ -130,9 +130,10 @@ def _divisions(fn):
 def test_determinant_is_division_free():
     # poly_matrix_det's term route runs berkowitz_det on MultiPoly entries,
     # where every exact division is a term-map long division; the route is
-    # fast because the determinant makes none
-    routines = {"linalg.py": "berkowitz_det", "polyring.py": "_poly_matrix_det_terms"}
-    for module, name in routines.items():
+    # fast because the determinant makes none.  berkowitz_det and charpoly
+    # share the recurrence _berkowitz, which must not divide either
+    routines = [("linalg.py", "berkowitz_det"), ("linalg.py", "_berkowitz"), ("polyring.py", "_poly_matrix_det_terms")]
+    for module, name in routines:
         tree = ast.parse((PACKAGE / module).read_text())
         fn = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
         assert not _divisions(fn), f"{name} divides: {_divisions(fn)}"
