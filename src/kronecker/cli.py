@@ -303,15 +303,15 @@ def build_parser():
         p.add_argument("--max-degree", type=int, default=4)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("galois", help="Galois group via resolvent factorization")
-    p.add_argument("expr")
-    p.add_argument("--u", type=_weights, default=None, help="comma-separated integer weights")
-    p.set_defaults(func=_cmd_galois)
-
-    p = sub.add_parser("resolvent", help="total resolvent in the splitting algebra")
-    p.add_argument("expr")
-    p.add_argument("--u", type=_weights, default=None, help="comma-separated integer weights")
-    p.set_defaults(func=_cmd_resolvent)
+    for name, fn, extra_help in (
+        ("galois", _cmd_galois, "Galois group via resolvent factorization"),
+        ("resolvent", _cmd_resolvent, "total resolvent in the splitting algebra"),
+    ):
+        p = sub.add_parser(name, help=extra_help)
+        p.add_argument("expr")
+        weights_help = "comma-separated integer weights; a negative first weight needs =, as in --u=-1,2"
+        p.add_argument("--u", type=_weights, default=None, help=weights_help)
+        p.set_defaults(func=fn)
 
     p = sub.add_parser("genus-disc", help="det^2 = D^(n!/2) identity check")
     p.add_argument("n", type=int)

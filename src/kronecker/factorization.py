@@ -36,10 +36,9 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from kronecker import modp, primes
+from kronecker import modp, polyring, primes
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.polyring import MultiPoly, UniPoly, content_primitive, parse_poly
-from kronecker import polyring
 
 UNIVARIATE_DEGREE_CAP = 12
 IMAGE_FACTOR_CAP = 16
@@ -264,17 +263,6 @@ def _hensel_lift(F, factors, p, steps):
     return _hensel_lift(g, factors[:k], p, steps) + _hensel_lift(h, factors[k:], p, steps)
 
 
-def _exact_quotient(a, b):
-    """a / b for integer coefficient lists when the division is exact in
-    Z[x], else None."""
-    den = {(k,): c for k, c in enumerate(b) if c}
-    num = {(k,): c for k, c in enumerate(a) if c}
-    quo = polyring.divide_terms(num, den)
-    if quo is None:
-        return None
-    return [quo.get((k,), 0) for k in range(len(a) - len(b) + 1)]
-
-
 def _primitive(f):
     """Primitive part of a nonzero integer coefficient list, lc > 0."""
     g = gcd(*f) if f[-1] > 0 else -gcd(*f)
@@ -302,7 +290,7 @@ def _recombine(F, lifted, m):
             g = modp.symmetric(g, m)
             if g[0] and b * F[0] % g[0]:
                 continue  # the constant terms rule the subset out cheaply
-            q = _exact_quotient([b * c for c in F], g)
+            q = polyring.exact_quotient([b * c for c in F], g)
             if q is not None:
                 out.append(_primitive(g))
                 F = _primitive(q)

@@ -62,9 +62,9 @@ from math import comb, lcm
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _exact_quotient, _hensel_lift, is_irreducible
+from kronecker.factorization import _hensel_lift, is_irreducible
 from kronecker.linalg import charpoly
-from kronecker.polyring import MultiPoly, UniPoly, parse_poly, poly_matrix_det
+from kronecker.polyring import MultiPoly, UniPoly, exact_quotient, parse_poly, poly_matrix_det
 
 MAX_DEGREE = 5  # splitting dimension 120
 MAX_ATTEMPTS = 20  # weight vectors galois_group tries for a squarefree resolvent
@@ -556,7 +556,7 @@ def _identify_group(F, u, resolvent, p, values, m):
     target = resolvent.num
     for H in _transitive_subgroups(n):
         g = _orbit_polynomial(values, H, m)
-        if not _within_bounds(g, beta) or _exact_quotient(target, g) is None:
+        if not _within_bounds(g, beta) or exact_quotient(target, g) is None:
             continue
         return GaloisResult(H, resolvent, _certified_pattern(H, g, values, resolvent, m), u, p)
     raise AlgebraError("no transitive subgroup has its orbit polynomial divide the resolvent")

@@ -5,7 +5,7 @@ each in [0, m), with no trailing zero; the zero polynomial is [].  The
 ring operations and division take any modulus m > 1, provided the divisor's
 leading coefficient is a unit mod m, so they serve both F_p and the Hensel
 moduli p^k.  gcd, extended Euclid and everything from the squarefree split
-on need m prime.
+on need m prime.  from_roots packs its product tree with polyring.pack.
 
 Factorization over F_p (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, 3rd ed.):
@@ -29,6 +29,7 @@ mod m^2.
 import random
 
 from kronecker.errors import AlgebraError
+from kronecker.polyring import pack, unpack
 
 
 def trim(f, m):
@@ -132,15 +133,13 @@ def from_roots(values, m):
 
 
 def _kronecker_mul(a, b, m):
-    """a * b mod m for coefficient lists in [0, m) (§8.4): each list packed
-    into one int at w bits a slot, one integer product, the slots read
-    back.  A product coefficient is a sum of at most min(len a, len b)
-    terms below m^2, so it fits in w >= 2 bits(m) + bits(min(len a, len b))
-    + 1 bits, rounded up to whole bytes."""
+    """a * b mod m for coefficient lists in [0, m), by one packed integer
+    product (§8.4).  Its coefficients are sums of at most k = min(len a,
+    len b) terms below m^2: a slot of 2 bits(m) + bits(k) + 1 bits, rounded
+    up to whole bytes, holds each."""
     width = (2 * m.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
-    pa, pb = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little") for f in (a, b))
-    raw = (pa * pb).to_bytes(width * (len(a) + len(b) - 1), "little")
-    return [int.from_bytes(raw[i : i + width], "little") % m for i in range(0, len(raw), width)]
+    digits = unpack(pack(dict(enumerate(a)), width) * pack(dict(enumerate(b)), width), len(a) + len(b) - 1, width)
+    return [digits.get(i, 0) % m for i in range(len(a) + len(b) - 1)]
 
 
 def symmetric(f, m):

@@ -18,6 +18,10 @@ and ``eval_at`` return Fractions.  The canonical term order of MultiPoly is
 graded lexicographic with respect to the declared variable order; printing
 follows it, so equal polynomials print identically.
 
+Kronecker packing: one slot map (slot_weights, slot_exponent) and one codec
+of signed byte-aligned digits (pack, unpack), for poly_matrix_det,
+modp.from_roots, kronecker_substitute and its inverse, and exact_quotient.
+
 All values are immutable after construction and every operation is a pure
 function.
 """
@@ -1128,24 +1132,18 @@ def poly_matrix_det(rows):
     """Determinant of a square matrix of MultiPoly entries, exactly.
 
     Kronecker's device: pack every entry into one integer, take one
-    integer determinant (linalg.mat_det), and read the determinant out of
-    the digits of the result.
+    integer determinant (linalg.mat_det), and unpack it.  Packing is a ring
+    homomorphism, so that integer is the packed determinant polynomial.
 
-    - Row i is scaled to integers by the lcm d_i of its denominators.
+    - Row i is scaled to integers by the lcm d_i of its denominators, and
+      the result is divided by prod_i d_i.
     - Variable v gets the span s_v = 1 + sum over rows of the row's largest
-      degree in v, which exceeds deg_v of the determinant.  Exponent e goes
-      to slot sum_v e_v * w_v, with w_v the product of the spans of the
-      earlier variables: a mixed-radix map that keeps the determinant's
-      monomials apart, in S = prod_v s_v slots.
+      degree in v, which exceeds deg_v of the determinant, so the slot map
+      on these spans keeps its monomials apart, in S = prod_v s_v slots.
     - By Leibniz, the determinant's l1 norm is at most the permanent of the
       entries' l1 norms, so at most B = prod_i sum_j |a_ij|_1.  A slot is
       k bits wide, a whole number of bytes with 2^(k-1) > B, so each
       coefficient is one signed digit in base t = 2^k.
-    - Evaluating the entries at the slot map is a ring homomorphism, so the
-      integer determinant is the packed determinant polynomial.  Adding
-      2^(k-1) (t^S - 1)/(t - 1) makes every digit nonnegative, and the
-      digits are read with int.to_bytes, not by shifting, which would cost
-      time quadratic in S.  The result is divided by prod_i d_i.
 
     Each term of the determinant is a product of one term from each row,
     so it has at most P = prod_i |monomials of row i| terms.  When S
@@ -1177,46 +1175,20 @@ def poly_matrix_det(rows):
     slots = prod(spans)
     if slots > _SLOTS_PER_TERM * prod(len({e for a in row for e in a.num}) for row in m):
         return _poly_matrix_det_terms(m)
+    weights = slot_weights(spans)
     scale, bound, int_rows = 1, 1, []
     for row in m:
         d = int_lcm(*(a.den for a in row))
-        ints = [{e: c * (d // a.den) for e, c in a.num.items()} for a in row]
+        ints = [{sum(map(mul, e, weights)): c * (d // a.den) for e, c in a.num.items()} for a in row]
         bound *= sum(abs(c) for t in ints for c in t.values())
         scale *= d
         int_rows.append(ints)
-    if not bound:
-        return MultiPoly.zero(variables)
     width = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8*width - 1) > bound
     if slots * width > _PACKED_BYTES_CAP:
         return _poly_matrix_det_terms(m)
-    weights = [prod(spans[:v]) for v in range(len(spans))]
-    det = linalg.mat_det([[_pack(t, weights, width) for t in row] for row in int_rows])
-    half = 1 << (8 * width - 1)
-    zero = half.to_bytes(width, "little")
-    raw = (det + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
-    terms = {}
-    for s in range(slots):
-        digit = raw[s * width : (s + 1) * width]
-        if digit != zero:
-            e, r = [], s
-            for span in spans:
-                r, k = divmod(r, span)
-                e.append(k)
-            terms[tuple(e)] = int.from_bytes(digit, "little") - half
+    det = linalg.mat_det([[pack(t, width) for t in row] for row in int_rows])
+    terms = {slot_exponent(s, spans): c for s, c in unpack(det, slots, width).items()}
     return MultiPoly.from_ints(variables, terms, scale)
-
-
-def _pack(terms, weights, width):
-    """Value of an integer term map at the slot map, width bytes per slot;
-    every |coefficient| < 2^(8*width - 1)."""
-    if not terms:
-        return 0
-    slotted = {sum(map(mul, e, weights)): c for e, c in terms.items()}
-    top = (max(slotted) + 1) * width
-    pos, neg = bytearray(top), bytearray(top)
-    for s, c in slotted.items():
-        (pos if c > 0 else neg)[s * width : (s + 1) * width] = abs(c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _poly_matrix_det_terms(m):
@@ -1280,51 +1252,92 @@ def discriminant(p, name):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker substitution
+# Kronecker packing
 # ---------------------------------------------------------------------------
 
 
-class SubstitutionCodec:
-    """Records the base g and variable order of a Kronecker substitution."""
+def slot_weights(spans):
+    """The mixed-radix slot map: exponent e goes to slot sum_v e_v w_v, with
+    w_v the product of the earlier spans; one-to-one while every e_v < s_v."""
+    return [prod(spans[:v]) for v in range(len(spans))]
 
-    __slots__ = ("g", "variables", "target")
 
-    def __init__(self, g, variables, target):
-        self.g = g
-        self.variables = tuple(variables)
-        self.target = target
+def slot_exponent(s, spans):
+    """The exponent at slot s of the slot map on spans; AlgebraError past it."""
+    e = []
+    for span in spans:
+        s, k = divmod(s, span)
+        e.append(k)
+    if s:
+        raise AlgebraError("slot outside the slot map")
+    return tuple(e)
 
-    def decode_exponent(self, e):
-        digits = []
-        for _ in self.variables:
-            digits.append(e % self.g)
-            e //= self.g
-        if e:
-            raise AlgebraError("exponent outside the decodable range")
-        return tuple(digits)
+
+def pack(digits, width):
+    """sum_s d_s t^s, t = 2^(8 width), for digits {s: d_s} with every
+    |d_s| < t/2, laid out as bytes: time linear in the bytes."""
+    top = (max(digits, default=-1) + 1) * width
+    pos, neg = bytearray(top), bytearray(top)
+    for s, c in digits.items():
+        (pos if c > 0 else neg)[s * width : (s + 1) * width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def unpack(n, slots, width):
+    """The nonzero digits {s: d_s} of n = pack(digits, width) in the given
+    number of slots; OverflowError when n needs more.  The digits of n +
+    (t/2)(t^slots - 1)/(t - 1) are d_s + t/2 >= 0, which int.to_bytes reads in
+    linear time (shifting is quadratic in the slots).  A zero digit is compared
+    as bytes and never made an int, so a sparse slot map costs its bytes only."""
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    raw = (n + int.from_bytes(zero * slots, "little")).to_bytes(slots * width, "little")
+    chunks = (raw[i : i + width] for i in range(0, len(raw), width))
+    return {s: int.from_bytes(d, "little") - half for s, d in enumerate(chunks) if d != zero}
+
+
+def _quotient_bound(a, n):
+    """Mignotte's bound on every integer divisor of degree n of a (§6.6)."""
+    return (len(a) * max(map(abs, a))) << n
+
+
+def exact_quotient(a, b):
+    """a / b for integer coefficient lists when b divides a in Z[x], else None.
+
+    Any exact quotient q has |q|_inf <= B = 2^deg(q) len(a) |a|_inf (Mignotte,
+    von zur Gathen and Gerhard §6.6).  Packed at 2^(8w - 1) > B |b|_1, |a|_inf,
+    b | a gives pack(a) = pack(q) pack(b), so one divmod finds pack(q) (§8.4).
+    The q read back is accepted only when |q|_inf <= B and pack(q) pack(b) ==
+    pack(a): all digits are below t/2, so that is the polynomial equality."""
+    n = len(a) - len(b)
+    if n < 0:
+        return None if a else []
+    bound = _quotient_bound(a, n)
+    width = (max(bound * sum(map(abs, b)), max(map(abs, a))).bit_length() + 8) // 8
+    pa, pb = pack(dict(enumerate(a)), width), pack(dict(enumerate(b)), width)
+    pq, r = divmod(pa, pb)
+    try:
+        digits = {} if r else unpack(pq, n + 1, width)
+    except OverflowError:
+        return None
+    if r or max(map(abs, digits.values()), default=0) > bound or pack(digits, width) * pb != pa:
+        return None
+    return [digits.get(k, 0) for k in range(n + 1)]
 
 
 def kronecker_substitute(p, g):
-    """Map each variable v_i to x^(g^i); invertible when g exceeds every
-    per-variable degree."""
+    """The image of p under v_i -> x^(g^i), the slot map with every span g,
+    for g above every per-variable degree, and its codec (g, variables)."""
     if g <= max((p.degree(v) for v in p.variables), default=0):
         raise DomainError("substitution base must exceed every per-variable degree")
-    target = p.variables[0] if p.variables else "x"
-    out = {}
-    for e, c in p.num.items():
-        packed = 0
-        weight = 1
-        for k in e:
-            packed += k * weight
-            weight *= g
-        out[packed] = c
-    coeffs = [0] * (max(out) + 1 if out else 0)
-    for k, c in out.items():
-        coeffs[k] = c
-    return UniPoly(target, coeffs, p.den), SubstitutionCodec(g, p.variables, target)
+    weights = slot_weights([g] * len(p.variables))
+    out = {sum(map(mul, e, weights)): c for e, c in p.num.items()}
+    coeffs = [out.get(k, 0) for k in range(max(out, default=-1) + 1)]
+    return UniPoly(p.variables[0] if p.variables else "x", coeffs, p.den), (g, p.variables)
 
 
 def kronecker_inverse(u, codec):
-    """Inverse of kronecker_substitute via base-g digit expansion."""
-    num = {codec.decode_exponent(k): c for k, c in enumerate(u.num) if c}
-    return MultiPoly.from_ints(codec.variables, num, u.den)
+    """Inverse of kronecker_substitute for its codec (g, variables)."""
+    g, variables = codec
+    num = {slot_exponent(k, [g] * len(variables)): c for k, c in enumerate(u.num) if c}
+    return MultiPoly.from_ints(variables, num, u.den)

@@ -186,6 +186,24 @@ def test_malformed_weights_are_a_usage_error_and_a_wrong_count_a_domain_error(co
     assert "comma-separated integer weights" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["galois", "resolvent"])
+def test_a_negative_first_weight_is_attached_with_equals(command, capsys, monkeypatch):
+    # argparse reads a spaced "-1,2" as an option, not as the value of --u;
+    # the help says to attach such a list with =
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--u", "-1,2", "--", "x^2 + 1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --u: expected one argument\n")
+    assert main([command, "--u=-1,2", "--", "x^2 + 1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == ("x^2 + 9\n" if command == "resolvent" else "order 2\nfactor pattern: 2\n  1 2\n  2 1\n")
+    monkeypatch.setenv("COLUMNS", "200")  # the help on one line
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    assert "a negative first weight needs =, as in --u=-1,2" in capsys.readouterr().out
+
+
 def test_one_process_answers_as_fresh_processes_do(capsys):
     # the argument parser is built once per process and reused; a usage
     # error or a domain error in between leaves no state behind

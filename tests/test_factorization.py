@@ -363,6 +363,27 @@ SWINNERTON_DYER = (
 )
 
 
+def _cyclotomic(n, known):
+    """Phi_n from x^n - 1 = prod over d | n of Phi_d, by UniPoly.divmod."""
+    f = UniPoly("x", [-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            f, r = f.divmod(known[d])
+            assert r.is_zero
+    return f
+
+
+def test_x60_minus_1_splits_into_its_cyclotomic_factors():
+    known = {}
+    for n in range(1, 61):
+        known[n] = _cyclotomic(n, known)
+    expected = sorted(str(known[d]) for d in range(1, 61) if 60 % d == 0)
+    fact = factor(parse_poly("x^60 - 1"))
+    assert fact.unit == 1
+    assert _multiset(fact) == [(text, 1) for text in expected]
+    assert len(expected) == 12
+
+
 @pytest.mark.parametrize("text", SWINNERTON_DYER)
 def test_swinnerton_dyer_polynomials_split_mod_p_but_not_over_q(text):
     f = UniPoly.from_multipoly(parse_poly(text))

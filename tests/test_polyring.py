@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -515,6 +516,106 @@ def test_substitute_roundtrip_random():
         g = max(p.degree(v) for v in p.variables) + rng.randint(1, 3)
         u, codec = kronecker_substitute(p, g)
         assert kronecker_inverse(u, codec) == p
+
+
+# -- the packing codec -------------------------------------------------------------
+
+
+def test_pack_and_unpack_round_trip_signed_digits():
+    rng = random.Random(23)
+    for width in (1, 2, 3):
+        top = (1 << (8 * width - 1)) - 1
+        for _ in range(200):
+            slots = rng.randint(1, 12)
+            used = rng.sample(range(slots), rng.randint(0, slots))
+            digits = {s: d for s in used if (d := rng.choice([-top, top, rng.randint(-top, top)]))}
+            assert polyring.unpack(polyring.pack(digits, width), slots, width) == digits
+        for digits in ({0: top, 1: -top}, {0: -top, 2: -top}, {3: -1}, {0: 5, 4: -top}, {}):
+            assert polyring.unpack(polyring.pack(digits, width), 5, width) == digits
+    assert polyring.pack({}, 2) == 0
+    assert polyring.pack({0: 0, 1: 3}, 1) == 3 * 256
+
+
+def test_unpack_raises_when_the_integer_needs_more_slots():
+    for width in (1, 2, 3):
+        t = 1 << (8 * width)
+        for n in (t**3, -(t**3), polyring.pack({3: 1}, width), polyring.pack({3: -1}, width)):
+            with pytest.raises(OverflowError):
+                polyring.unpack(n, 3, width)
+        assert polyring.unpack(polyring.pack({2: -1}, width), 3, width) == {2: -1}
+
+
+def test_slot_exponent_inverts_slot_weights():
+    rng = random.Random(29)
+    for _ in range(200):
+        spans = [rng.randint(1, 6) for _ in range(rng.randint(0, 4))]
+        weights = polyring.slot_weights(spans)
+        exps = list(itertools.product(*(range(s) for s in spans)))
+        assert sorted(sum(map(operator.mul, e, weights)) for e in exps) == list(range(math.prod(spans)))
+        for e in exps:
+            assert polyring.slot_exponent(sum(map(operator.mul, e, weights)), spans) == e
+        with pytest.raises(AlgebraError):
+            polyring.slot_exponent(math.prod(spans), spans)
+
+
+def _quotient_by_terms(a, b):
+    """The exact quotient of integer lists by the term kernel divide_terms."""
+    quo = polyring.divide_terms({(k,): c for k, c in enumerate(a) if c}, {(k,): c for k, c in enumerate(b) if c})
+    return None if quo is None else [quo.get((k,), 0) for k in range(len(a) - len(b) + 1)]
+
+
+def _int_list(rng, degree, size):
+    return [rng.randint(-size, size) for _ in range(degree)] + [rng.choice([-1, 1]) * rng.randint(1, size)]
+
+
+def _int_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _quotient_cases(rng):
+    """Pairs (a, b) of integer lists: exact products and near misses."""
+    for _ in range(150):
+        b = _int_list(rng, rng.randint(0, 6), rng.choice([1, 9, 10**6]))
+        q = _int_list(rng, rng.randint(0, 8), rng.choice([1, 9, 10**9]))
+        a = _int_product(b, q)
+        yield a, b
+        yield [a[0] + 1] + a[1:], b
+        k = rng.randrange(len(a))
+        yield a[:k] + [a[k] + rng.choice([-1, 1]) * rng.randint(1, 5)] + a[k + 1 :], b
+        yield a, [0] + b  # b with a zero constant term
+        yield _int_product(a, [0, 1]), [0] + b
+        yield a, b[:-1] + [-b[-1]]  # the leading coefficient's sign flipped
+        yield [-c for c in a], [-c for c in b]
+        yield b, a  # deg b > deg a unless q is a constant
+        yield [], b
+
+
+def test_exact_quotient_agrees_with_divide_terms():
+    found = {True: 0, False: 0}
+    for a, b in _quotient_cases(random.Random(31)):
+        q = polyring.exact_quotient(a, b)
+        assert q == _quotient_by_terms(a, b), (a, b)
+        found[q is not None] += 1
+    assert min(found.values()) > 300
+
+
+def test_exact_quotient_never_errs_under_a_wrong_bound(monkeypatch):
+    # with a bound too small for the quotient, the digits read back are
+    # refused; a divisor may then be missed, but no quotient is wrong
+    monkeypatch.setattr(polyring, "_quotient_bound", lambda a, n: 1)
+    # q = 256 - x packs to 0 at base 256 beside b = x + 1, so an unchecked
+    # read would return the zero quotient
+    assert polyring.exact_quotient([256, 255, -1], [1, 1]) is None
+    answered = 0
+    for a, b in _quotient_cases(random.Random(37)):
+        q = polyring.exact_quotient(a, b)
+        assert q is None or q == _quotient_by_terms(a, b), (a, b)
+        answered += q is not None
+    assert answered > 0
 
 
 # -- misc structures ---------------------------------------------------------------

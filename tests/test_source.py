@@ -72,6 +72,30 @@ def test_mod_p_polynomial_arithmetic_lives_in_modp():
     assert not found, f"mod-p polynomial arithmetic outside kronecker.modp: {found}"
 
 
+def _byte_conversions(tree, allowed=()):
+    """Lines of the int.to_bytes and int.from_bytes calls in a module, those
+    inside the functions named in allowed left out."""
+    skip = {id(n) for name, fn in _functions(tree) if name in allowed for n in ast.walk(fn)}
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("to_bytes", "from_bytes") and id(n) not in skip
+    ]
+
+
+def test_kronecker_packing_lives_in_one_codec():
+    # one byte format for a polynomial packed into one integer: only
+    # polyring.pack and polyring.unpack convert between ints and bytes
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        allowed = ("pack", "unpack") if path.name == "polyring.py" else ()
+        lines = _byte_conversions(ast.parse(path.read_text(), filename=str(path)), allowed)
+        found.extend(f"{path.relative_to(PACKAGE)}:{line}" for line in lines)
+    assert not found, f"int/bytes conversions outside polyring.pack and polyring.unpack: {found}"
+    codec = ast.parse((PACKAGE / "polyring.py").read_text())
+    assert len(_byte_conversions(codec)) >= 4
+
+
 def test_the_mod_p_lint_recognises_a_dense_product():
     source = (
         "def mul(a, b, p):\n"
