@@ -15,12 +15,12 @@ polynomial in u and the coefficients of f.  So once rational coefficients
 and weights are scaled out, leaving a monic integral f and integral u, R is
 read off roots modulo a prime power: at a prime p >= 3 where the squarefree
 part of f splits into distinct linear factors, its roots mod p are
-Hensel-lifted (von zur Gathen and Gerhard, Alg. 15.17) to p-adic roots
-modulo m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i| times an
-integer bound on the roots of f, and each is repeated by its multiplicity
-in f.  Every v_s then has absolute value at most beta, so the coefficient
-of X^(N-k) in a product of N of the factors X - v_s is at most
-C(N, k) beta^k, and the product of all n! factors, taken modulo m and
+lifted by Newton's iteration (von zur Gathen and Gerhard, §9.4) to p-adic
+roots modulo m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i|
+times an integer bound on the roots of f, and each is repeated by its
+multiplicity in f.  Every v_s then has absolute value at most beta, so
+the coefficient of X^(N-k) in a product of N of the factors X - v_s is at
+most C(N, k) beta^k, and the product of all n! factors, taken modulo m and
 lifted to the symmetric range, is R exactly.  Every such product over a set
 of root sums, R itself and the orbit and coset polynomials below, is one
 call to modp.from_roots: a product tree whose inner nodes are each one
@@ -30,24 +30,63 @@ total_resolvent, the characteristic polynomial of multiplication, is the
 definition and the reference the lifted roots are tested against.
 
 The Galois group is found on the same p-adic roots (Stauduhar 1973; Geissler
-and Kluners 2000).  The roots of the monic integer model of f are numbered
-by their residues mod p in increasing order, at a split prime p where the
-n! sums v_s are distinct mod p; a permutation s sends root i to root s(i),
-and GaloisResult records p.  The group G is the first transitive subgroup
-H of S_n, in (order, elements) order, whose orbit polynomial g_H, the
-symmetric lift mod m of the product of X - v_s over s in H, divides R
-exactly over Z.  This is a proof.  R mod p is a product of distinct linear
-factors, so an integer factor of R that reduces to g_H is the p-adic
-product over H itself.  G permutes the roots of that factor; v_e, for the
-identity e, is one of them and t in G sends it to v_t, so t lies in H, and
-G lies in H.  G passes the test too: its orbit polynomial is integral, with
-coefficients within the bounds C(|G|, k) beta^k, so its symmetric lift mod
-m is itself.  So the first H accepted is G.  The answer is then certified:
-the coset polynomials of H multiply to R, H is a transitive group, and |H|
-times the number of cosets is n!.  H is proved a group by generator
-closure: generators are picked from H in sorted order, each one the closure
-of the earlier ones has not reached, and that closure, the group they
-generate, must stay inside H and end up equal to it.
+and Kluners 2000), without forming R apart from its certificate.  The roots
+of the monic integer model F of f are numbered by their residues mod a split
+prime q in increasing order; a permutation s sends root i to root s(i), and
+GaloisResult records q.
+
+Split primes come from _split_primes.  A prime where F splits into distinct
+linear factors makes disc(F), the product of (r_i - r_j)^2 over the roots
+mod p, the square of a nonzero residue, so one pow of disc(F) passes over
+about half the primes before the test that x^p = x mod F.  q must make the
+n! root sums v_s distinct mod q, which needs q >= n! (pigeonhole), so
+galois_group scans from the least prime >= max(3, n!) and finds the same q
+as a scan from 3.
+
+R is squarefree exactly when the v_s are distinct.  Let p0 be the first split
+prime.  If the v_s are distinct mod p0, R is squarefree and q = p0.
+Otherwise the roots are lifted at p0 to p0^K > (2 beta)^(n!), and R is
+squarefree exactly when the v_s are distinct mod p0^K.  This is a norm
+argument.  delta = v_s - v_t is an algebraic integer of the splitting field
+L, and each of its conjugates, a difference of two root sums, has absolute
+value at most 2 beta.  So its norm N(delta) is an integer of absolute value
+at most (2 beta)^[L:Q] <= (2 beta)^(n!).  The lifted roots are the images of
+the roots under an embedding of L into the p0-adic numbers, which exists
+because p0 splits completely in L, unramified.  So if delta = 0 mod p0^K,
+delta lies in the K-th power of a prime P of L above p0; the other factors
+of N(delta) are algebraic integers, and v_P restricted to Z is v_p0, so
+p0^K divides N(delta).  Then N(delta) = 0 and delta = 0.  Once R is
+squarefree, q is the first split prime from p0 on where the v_s are
+distinct mod q; only the finitely many primes dividing disc(R) fail.  At a
+squarefree R the weights u stay; otherwise they are redrawn.
+
+The group G is the first transitive subgroup H of S_n, in (order, elements)
+order, that passes the coset certificate on the roots lifted at q to m =
+q^k, the precision of R.  Every coset polynomial of H, the symmetric lift
+mod m of the product of X - v_s over a right coset H s, is formed; the one
+over H itself is the orbit polynomial g_H.  H passes when their integer
+product P has every coefficient at most (m - 1)/2 in absolute value.  This
+is a proof.  P = R mod m, and R's coefficients lie below m/2, so P = R.
+Each coset polynomial is then a monic integer factor of R, and R mod q is a
+product of distinct linear factors, so by Hensel uniqueness each is the
+q-adic product over its coset itself.  G permutes the roots of g_H; v_e,
+for the identity e, is one of them and t in G sends it to v_t, so t lies in
+H, and G lies in H.  G passes too: its coset polynomials are integral, with
+coefficients within the bounds C(|G|, k) beta^k below m/2, so their lifts
+mod m are themselves and multiply to R.  So the first H accepted is G, and
+P is R.  The answer is then checked: H is a transitive group, and |H| times
+the number of cosets is n!.  H is proved a group by generator closure:
+generators are picked from H in sorted order, each one the closure of the
+earlier ones has not reached, and that closure, the group they generate,
+must stay inside H and end up equal to it.
+
+Two filters spare most certificates; neither can reject G.  Once H contains
+G, the sum of v_s^k over s in H is fixed by G, so it is an integer, of
+absolute value at most |H| beta^k, and its symmetric lift mod m is itself
+wherever 2 |H| beta^k < m.  The power sums are tested from k = 2, because
+for every transitive H the sum of the v_s, (|H|/n) (u_1 + ... + u_n) times
+the sum of the roots, is rational.  Then g_H must have its coefficients
+within C(|H|, k) beta^k.
 
 The transitive subgroups of S_n come from one table of generators per
 conjugacy class.  Each class's conjugates are the closures of its
@@ -62,9 +101,9 @@ from math import comb, lcm
 
 from kronecker import modp, primes
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _hensel_lift, is_irreducible
+from kronecker.factorization import is_irreducible
 from kronecker.linalg import charpoly
-from kronecker.polyring import MultiPoly, UniPoly, exact_quotient, parse_poly, poly_matrix_det
+from kronecker.polyring import MultiPoly, UniPoly, discriminant, parse_poly, poly_matrix_det
 
 MAX_DEGREE = 5  # splitting dimension 120
 MAX_ATTEMPTS = 20  # weight vectors galois_group tries for a squarefree resolvent
@@ -212,22 +251,23 @@ def resolvent_total_symmetric(f, u):
     w = [int(ui * e) for ui in u]
     F = _monic_integer_model(f)
     S = F.squarefree_part().num
-    values, m = _lifted_root_sums(F.num, w, _split_prime(S), S)
+    values, m = _lifted_root_sums(F.num, w, *next(_split_primes(S, 3)), S)
     scale = e * f.den
     R = _resolvent(values, m).num
     return UniPoly("x", [c * scale**j for j, c in enumerate(R)], scale ** len(values))
 
 
-def _lifted_root_sums(F, u, p, S=None):
+def _lifted_root_sums(F, u, p, residues, S=None):
     """(values, m): the root sums v_s of the monic integer coefficient list
     F at the integer weights u, in itertools order, over its roots lifted to
     m = p^k, the least prime power above twice every coefficient bound of
     the total resolvent.  S, the squarefree part of F and F itself by
-    default, splits into distinct linear factors mod p; its lifted roots
-    are repeated by their multiplicities in F mod p."""
+    default, splits into distinct linear factors mod p, where its roots are
+    the residues; its lifted roots are repeated by their multiplicities in
+    F mod p."""
     k = _lift_exponent(F, u, p)
     m = p**k
-    roots = [a for a in _numeric_roots(S or F, p, k) for _ in range(_multiplicity(F, a % p, p))]
+    roots = [a for a in _numeric_roots(S or F, p, k, residues) for _ in range(_multiplicity(F, a % p, p))]
     return _root_sums(roots, u, m), m
 
 
@@ -248,7 +288,11 @@ def _lift_exponent(F, u, p):
     C(n!, k) beta^k of the total resolvent."""
     size = _FACT[len(F) - 1]
     beta = _beta(F, u)
-    bound = 2 * max(comb(size, j) * beta**j for j in range(size + 1))
+    return _least_exponent(p, 2 * max(comb(size, j) * beta**j for j in range(size + 1)))
+
+
+def _least_exponent(p, bound):
+    """The least k >= 1 with p^k > bound."""
     k = 1
     while p**k <= bound:
         k += 1
@@ -260,13 +304,31 @@ def _beta(F, u):
     return sum(map(abs, u)) * _root_bound(F)
 
 
-def _numeric_roots(F, p, k):
-    """The roots of the monic F, which splits into distinct linear factors
-    mod p, as p-adic numbers modulo p^k, in the order of their residues
-    mod p."""
-    lifted = _hensel_lift(F, [[-a % p, 1] for a in modp.roots(F, p)], p, (k - 1).bit_length())
-    m = p**k
-    return [-g[0] % m for g in lifted]
+def _numeric_roots(F, p, k, residues):
+    """The roots of the monic F as p-adic numbers modulo p^k, lifted from
+    its simple roots mod p, the residues, in their order.  Newton's step
+    a -> a - F(a)/F'(a) takes a simple root mod p^e to one mod p^(2e) (von
+    zur Gathen and Gerhard, §9.4), so each root climbs the precisions
+    ..., ceil(k/4), ceil(k/2), k."""
+    dF = [i * c for i, c in enumerate(F)][1:]
+    precisions = [k]
+    while precisions[-1] > 1:
+        precisions.append((precisions[-1] + 1) // 2)
+    lifted = []
+    for a in residues:
+        for e in reversed(precisions[:-1]):
+            m = p**e
+            a = (a - _value(F, a, m) * pow(_value(dF, a, m), -1, m)) % m
+        lifted.append(a)
+    return lifted
+
+
+def _value(f, a, m):
+    """f(a) mod m, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * a + c) % m
+    return v
 
 
 def _multiplicity(F, r, p):
@@ -282,17 +344,26 @@ def _multiplicity(F, r, p):
 def _root_sums(a, u, m):
     """The values v_s = u_1 a_(s(1)) + ... + u_n a_(s(n)) mod m, over the
     permutations s in itertools order."""
-    return [sum(ui * a[i] for ui, i in zip(u, s)) % m for s in itertools.permutations(range(len(a)))]
+    rows = [[ui * ai for ai in a] for ui in u]
+    return [sum(map(list.__getitem__, rows, s)) % m for s in itertools.permutations(range(len(a)))]
 
 
-def _split_prime(F, p=3):
-    """The first prime from the odd prime p on modulo which the monic F is a
-    product of distinct linear factors: x^p = x mod F, so F divides x^p - x,
-    which is squarefree mod p."""
+def _split_primes(F, start):
+    """(p, roots) for the primes p >= start, start >= 3, modulo which the
+    monic squarefree F is a product of distinct linear factors, in
+    increasing order, with the roots of F mod p sorted.  They are the p
+    with x^p = x mod F, so that F divides x^p - x, which is squarefree mod
+    p.  Such a p makes disc(F), the product of (r_i - r_j)^2 over the roots
+    mod p, the square of a nonzero residue, so one pow of disc(F) passes
+    over about half the primes before the test that x^p = x."""
+    disc = int(discriminant(UniPoly("x", F).to_multipoly(), "x").constant_value())
+    p = primes.next_prime(start - 1)
     while True:
-        f = modp.trim(F, p)
-        if modp.powmod([0, 1], p, f, p) == modp.rem([0, 1], f, p):
-            return p
+        d = disc % p
+        if d and pow(d, (p - 1) // 2, p) == 1:
+            f = modp.trim(F, p)
+            if modp.powmod([0, 1], p, f, p) == modp.rem([0, 1], f, p):
+                yield p, modp.roots(f, p)
         p = primes.next_prime(p)
 
 
@@ -479,34 +550,17 @@ def _monic_integer_model(f):
     return UniPoly(f.variable, [c * a ** (n - 1 - k) for k, c in enumerate(prim.num[:-1])] + [1])
 
 
-def _squarefree(r):
-    """Exact squarefreeness of a univariate polynomial over Q.
-
-    r.num and r'.num are r and r' up to constant factors, so when p does
-    not divide lc(r.num), their gcd being 1 mod p already implies
-    coprimality over Q; a few mod-p probes settle the common case cheaply,
-    and inconclusive probes fall back to the gcd over Q.
-    """
-    dr = r.derivative()
-    if dr.is_zero:
-        return r.degree <= 0
-    p = 10007
-    for _ in range(6):
-        if r.num[-1] % p and len(modp.gcd(r.num, dr.num, p)) == 1:
-            return True
-        p = primes.next_prime(p)
-    return r.gcd(dr).degree == 0
-
-
 def galois_group(f, u=None):
     """Galois group of an irreducible polynomial of degree <= 5.
 
-    The resolvent at u (default (0, 1, ..., n-1)) is computed exactly from
-    Hensel-lifted roots of the monic integer model; u is redrawn until the
-    resolvent is squarefree.  The group is the smallest transitive subgroup
-    whose orbit polynomial divides the resolvent, its cosets giving the
-    factor pattern; see the module docstring for the proof and the
-    certificates.
+    The roots of the monic integer model are found mod the first split
+    prime p0 >= n!; u (default (0, 1, ..., n-1)) is redrawn until the total
+    resolvent at u is squarefree, which holds when the n! root sums are
+    distinct mod p0 and otherwise is decided on the roots lifted at p0 by
+    _resolvent_is_squarefree.  The group is then read off the roots lifted
+    at the first split prime q from p0 on where the root sums are distinct:
+    see _identify_group and the module docstring for the proof.  The
+    resolvent itself is never formed apart from that proof.
     """
     if isinstance(f, str):
         f = UniPoly.from_multipoly(parse_poly(f))
@@ -525,47 +579,85 @@ def galois_group(f, u=None):
     u = tuple(int(x) for x in u)
     if len(u) != n:
         raise DomainError("need one weight per root")
-    p = _split_prime(F)
+    split = _split_primes(F, max(3, _FACT[n]))
+    p0, residues = next(split)
     for _ in range(MAX_ATTEMPTS):
-        values, m = _lifted_root_sums(F, u, p)
-        resolvent = _resolvent(values, m)
-        if _squarefree(resolvent):
-            return _identify_group(F, u, resolvent, p, values, m)
+        if _distinct(_root_sums(residues, u, p0)):
+            return _identify_group(F, u, p0, residues)
+        if _resolvent_is_squarefree(F, u, p0, residues):
+            return _identify_group(F, u, *next((q, r) for q, r in split if _distinct(_root_sums(r, u, q))))
         # component-dependent increments; i*i breaks the arithmetic
         # progressions that stay degenerate for root sets symmetric about 0
         u = tuple(ui + i * i for i, ui in enumerate(u))
     raise AlgebraError(f"no squarefree resolvent in {MAX_ATTEMPTS} weight vectors")
 
 
-def _identify_group(F, u, resolvent, p, values, m):
-    """The Galois group of the monic irreducible F from its squarefree
-    resolvent at u, on the roots lifted at the first split prime from p on
-    where the root sums are distinct.  They are distinct exactly where R mod
-    p is squarefree, so only the primes dividing disc(R) are passed over.
-    values and m are the lifted root sums at p, reused when p qualifies."""
+def _distinct(values):
+    """True when no two of the values are equal."""
+    return len(set(values)) == len(values)
+
+
+def _resolvent_is_squarefree(F, u, p, residues):
+    """True when the total resolvent of the monic squarefree F at the
+    integer weights u is squarefree: when the root sums, on the roots
+    lifted at the split prime p, are distinct mod p^K > (2 beta)^(n!).
+    The module docstring gives the norm argument that makes this exact."""
+    k = _least_exponent(p, (2 * _beta(F, u)) ** _FACT[len(F) - 1])
+    return _distinct(_root_sums(_numeric_roots(F, p, k, residues), u, p**k))
+
+
+def _identify_group(F, u, p, residues):
+    """The Galois group of the monic irreducible F at the weights u, on
+    its roots lifted at the split prime p, where the root sums at u are
+    distinct mod p, to m = p^k above twice every coefficient bound of the
+    resolvent.  The transitive subgroups H are tried in order; the power
+    sums and the orbit polynomial's coefficient bounds are filters, and the
+    coset certificate decides: the first H whose coset polynomials multiply
+    over Z to a polynomial with every coefficient at most (m - 1)/2 in
+    absolute value is the group, and that product is the resolvent."""
     n = len(F) - 1
-    perms = list(itertools.permutations(range(n)))
-    q = p
-    while len(set(_root_sums(modp.roots(F, q), u, q))) < len(perms):
-        q = _split_prime(F, primes.next_prime(q))
-    if q != p:
-        p = q
-        values, m = _lifted_root_sums(F, u, p)
-    values = dict(zip(perms, values))
+    values, m = _lifted_root_sums(F, u, p, residues)
+    values = dict(zip(itertools.permutations(range(n)), values))
     beta = _beta(F, u)
-    target = resolvent.num
     for H in _transitive_subgroups(n):
-        g = _orbit_polynomial(values, H, m)
-        if not _within_bounds(g, beta) or exact_quotient(target, g) is None:
+        if not _power_sums_fit(H, values, beta, m):
             continue
-        return GaloisResult(H, resolvent, _certified_pattern(H, g, values, resolvent, m), u, p)
-    raise AlgebraError("no transitive subgroup has its orbit polynomial divide the resolvent")
+        g = _orbit_polynomial(values, H, m)
+        if not _within_bounds(g, beta):
+            continue
+        cosets = _coset_polynomials(H, g, values, m)
+        product = _certified_product(cosets, m)
+        if product is None:
+            continue
+        if not (_is_group(H, n) and _is_transitive(H, n)):
+            raise AlgebraError("the subgroup is not a transitive group")
+        if len(H) * len(cosets) != _FACT[n]:
+            raise AlgebraError("the subgroup order times the coset count is not n!")
+        return GaloisResult(H, product, sorted(len(c) - 1 for c in cosets), u, p)
+    raise AlgebraError("no transitive subgroup passes the coset certificate")
+
+
+def _power_sums_fit(H, values, beta, m):
+    """True when, for k = 2..n, the symmetric lift mod m of the sum of
+    v_s^k over s in H is at most |H| beta^k in absolute value, as it is
+    once H contains the group, wherever 2 |H| beta^k < m makes that a test.
+    Only a filter: the coset certificate decides."""
+    first = [values[s] for s in H]
+    power = first
+    for k in range(2, len(H[0]) + 1):
+        power = [a * b % m for a, b in zip(power, first)]
+        bound = len(H) * beta**k
+        if 2 * bound < m:
+            total = sum(power) % m
+            if min(total, m - total) > bound:
+                return False
+    return True
 
 
 def _within_bounds(g, beta):
     """True when the coefficient of X^(N-k) in g, of degree N, is at most
     C(N, k) beta^k in absolute value, as in every product of N factors
-    X - v_s.  Only a filter: the exact division decides."""
+    X - v_s.  Only a filter: the coset certificate decides."""
     size = len(g) - 1
     return all(abs(c) <= comb(size, j) * beta**j for j, c in enumerate(reversed(g)))
 
@@ -575,30 +667,33 @@ def _orbit_polynomial(values, perms, m):
     return modp.symmetric(modp.from_roots([values[s] for s in perms], m), m)
 
 
-def _certified_pattern(H, g, values, resolvent, m):
-    """The degrees of the coset polynomials of H, once they multiply to the
-    resolvent, H is a transitive group and |H| times their number is n!.
-    The first coset, of the identity, is H itself, with the orbit
-    polynomial g."""
-    n = len(H[0])
-    factors = [UniPoly(resolvent.variable, g)]
+def _coset_polynomials(H, g, values, m):
+    """The orbit polynomials of the right cosets H s, in the order of their
+    first elements among the values; the first, of H itself, is g."""
+    out = [g]
     covered = set(H)
     for sigma in values:
         if sigma in covered:
             continue
         coset = [_compose(h, sigma) for h in H]
         covered.update(coset)
-        factors.append(UniPoly(resolvent.variable, _orbit_polynomial(values, coset, m)))
-    product = UniPoly(resolvent.variable, [1])
-    for fac in factors:
-        product = product * fac
-    if product != resolvent:
-        raise AlgebraError("the coset polynomials do not multiply to the resolvent")
-    if not (_is_group(H, n) and _is_transitive(H, n)):
-        raise AlgebraError("the subgroup is not a transitive group")
-    if len(H) * len(factors) != _FACT[n]:
-        raise AlgebraError("the subgroup order times the coset count is not n!")
-    return sorted(fac.degree for fac in factors)
+        out.append(_orbit_polynomial(values, coset, m))
+    return out
+
+
+def _certified_product(polys, m):
+    """The product over Z of the coset polynomials if every coefficient is
+    at most (m - 1)/2 in absolute value, else None.  It is a tree of
+    pairwise products, and a node past that bound ends it: each node
+    divides the product, so if the product is the resolvent, each node is
+    a monic factor of it, with roots among the v_s and so coefficients at
+    most C(N, k) beta^k, below m/2 as the resolvent's are."""
+    level = [UniPoly("x", c) for c in polys]
+    while len(level) > 1:
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
+        if any(2 * abs(c) >= m for f in level for c in f.num):
+            return None
+    return level[0]
 
 
 # ---------------------------------------------------------------------------

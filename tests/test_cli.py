@@ -5,6 +5,7 @@ byte for byte, in text and in --json mode; an error exits with 1 and one
 ``error:`` line on stderr, never a traceback.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ import pytest
 from kronecker.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+_S5 = [list(s) for s in itertools.permutations(range(1, 6))]
 
 PINNED = [
     (["factor", "--", "x^4 - 1"], 0, "(x + 1) * (x - 1) * (x^2 + 1)\n", ""),
@@ -49,6 +52,12 @@ PINNED = [
     (["--json", "galois", "--", "x^5 - 2"], 0, '{"elements": [[1, 2, 3, 4, 5], [1, 3, 5, 2, 4], [1, 4, 2, 5, 3], [1, 5, 4, 3, 2], [2, 1, 5, 4, 3], [2, 3, 4, 5, 1], [2, 4, 1, 3, 5], [2, 5, 3, 1, 4], [3, 1, 4, 2, 5], [3, 2, 1, 5, 4], [3, 4, 5, 1, 2], [3, 5, 2, 4, 1], [4, 1, 3, 5, 2], [4, 2, 5, 3, 1], [4, 3, 2, 1, 5], [4, 5, 1, 2, 3], [5, 1, 2, 3, 4], [5, 2, 4, 1, 3], [5, 3, 1, 4, 2], [5, 4, 3, 2, 1]], "factor_pattern": [20, 20, 20, 20, 20, 20], "order": 20}\n', ""),
     (["galois", "--", "x^3 - 3*x + 1"], 0, "order 3\nfactor pattern: 3+3\n  1 2 3\n  2 3 1\n  3 1 2\n", ""),
     (["--json", "galois", "--", "x^3 - 3*x + 1"], 0, '{"elements": [[1, 2, 3], [2, 3, 1], [3, 1, 2]], "factor_pattern": [3, 3], "order": 3}\n', ""),
+    # the default weights give a resolvent with repeated roots and are redrawn
+    (["galois", "--", "x^4 + 1"], 0, "order 4\nfactor pattern: 4+4+4+4+4+4\n  1 2 3 4\n  2 1 4 3\n  3 4 1 2\n  4 3 2 1\n", ""),
+    (["--json", "galois", "--", "x^4 + 1"], 0, '{"elements": [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]], "factor_pattern": [4, 4, 4, 4, 4, 4], "order": 4}\n', ""),
+    # repeated weights, redrawn likewise; S5 lists all 120 permutations in order
+    (["galois", "--u=1,1,1,1,1", "--", "x^5 - x - 1"], 0, "order 120\nfactor pattern: 120\n" + "".join(f"  {' '.join(map(str, s))}\n" for s in _S5), ""),
+    (["--json", "galois", "--u=1,1,1,1,1", "--", "x^5 - x - 1"], 0, json.dumps({"elements": _S5, "factor_pattern": [120], "order": 120}) + "\n", ""),
     (["resolvent", "--", "x^3 - 3*x - 1"], 0, "x^6 - 18*x^4 + 81*x^2 - 81\n", ""),
     (["--json", "resolvent", "--", "x^3 - 3*x - 1"], 0, '{"resolvent": "x^6 - 18*x^4 + 81*x^2 - 81", "u": [0, 1, 2]}\n', ""),
     (["resolvent", "--", "x^2 - 2*x + 1"], 0, "x^2 - 2*x + 1\n", ""),

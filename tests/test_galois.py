@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kronecker import galois, modp, primes
-from kronecker.errors import DomainError
+from kronecker.errors import AlgebraError, DomainError
 from kronecker.galois import (
     GaloisResult,
     SplittingAlgebra,
@@ -98,7 +98,8 @@ def _lifted_roots_sample():
     while len(sample) < 25:
         n = rng.randint(1, 4)
         coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
-        if galois._squarefree(UniPoly("x", coeffs)):
+        f = UniPoly("x", coeffs)
+        if f.gcd(f.derivative()).degree == 0:
             sample.append((coeffs, tuple(rng.randint(-3, 3) for _ in range(n))))
     half, third = Fraction(1, 2), Fraction(1, 3)
     return sample + [
@@ -465,14 +466,110 @@ def test_one_input_per_transitive_class(text, types):
     assert res.order * len(res.factor_pattern) == math.factorial(len(res.group[0]))
 
 
-def test_the_exact_division_alone_identifies_the_group(monkeypatch):
-    # the coefficient bounds only save divisions; with them off, the orbit
-    # polynomial of every candidate below the group must fail to divide
+def _filters_off(monkeypatch):
+    monkeypatch.setattr(galois, "_power_sums_fit", lambda H, values, beta, m: True)
     monkeypatch.setattr(galois, "_within_bounds", lambda g, beta: True)
+
+
+def test_the_coset_certificate_alone_identifies_the_group(monkeypatch):
+    # the power sums and the coefficient bounds only save certificates;
+    # with them off, the coset polynomials of every candidate below the
+    # group must fail to multiply to coefficients within (m - 1)/2
+    _filters_off(monkeypatch)
     for text, types in ONE_PER_CLASS:
         res = galois_group(text)
         assert len(res.group) == sum(types.values()), text
         assert {_cycle_type([i - 1 for i in g]) for g in res.group} == set(types), text
+
+
+@pytest.mark.parametrize("text, order", [("x^5 - 2", 20), ("x^4 + x + 1", 24)])
+def test_a_subgroup_list_without_the_group_is_an_error(text, order, monkeypatch):
+    n = len(_int_coeffs(text)) - 1
+    smaller = [H for H in galois._transitive_subgroups(n) if len(H) < order]
+    assert smaller
+    _filters_off(monkeypatch)
+    monkeypatch.setattr(galois, "_transitive_subgroups", lambda n: smaller)
+    with pytest.raises(AlgebraError, match="coset certificate"):
+        galois_group(text)
+
+
+def _first_split_prime(F):
+    return next(galois._split_primes(F, max(3, math.factorial(len(F) - 1))))[0]
+
+
+def test_the_lifted_squarefree_test_agrees_with_the_gcd_over_q():
+    # oracle: R is squarefree exactly when gcd(R, R') is 1 over Q; the
+    # default weights (0, 1, 2, 3) give x^4 + 1 and x^4 - 2 repeated roots
+    cases = []
+    for text, _, u, _, _ in PINNED_GROUPS:
+        n = len(u)
+        cases += [(text, u), (text, tuple(range(n))), (text, (1, 1) + tuple(range(2, n)))]
+    verdicts = set()
+    for text, u in cases:
+        F = _int_coeffs(text)
+        R = resolvent_total_symmetric(UniPoly("x", F), u)
+        squarefree = R.gcd(R.derivative()).degree == 0
+        p = _first_split_prime(F)
+        assert galois._resolvent_is_squarefree(F, u, p, modp.roots(F, p)) == squarefree, (text, u)
+        separated = len(set(galois._root_sums(modp.roots(F, p), u, p))) == len(R.num) - 1
+        verdicts.add((squarefree, separated))
+    # both outcomes occur, and a squarefree R whose root sums collide mod p
+    assert verdicts >= {(True, True), (True, False), (False, False)}
+
+
+class _PastTheEnd(Exception):
+    pass
+
+
+@pytest.mark.parametrize("text", [text for text, *_ in PINNED_GROUPS])
+def test_split_primes_are_those_where_x_to_the_p_is_x(text, monkeypatch):
+    F = _int_coeffs(text)
+    expected = [
+        p for p in primes.primes_up_to(3000)[1:] if modp.powmod([0, 1], p, F, p) == modp.rem([0, 1], F, p)
+    ]
+    next_prime = primes.next_prime
+
+    def next_prime_below_3000(n):
+        p = next_prime(n)
+        if p >= 3000:
+            raise _PastTheEnd
+        return p
+
+    # the scan ends at 3000 even if the generator yields nothing before it
+    monkeypatch.setattr(primes, "next_prime", next_prime_below_3000)
+    found = []
+    with pytest.raises(_PastTheEnd):
+        for p, roots in galois._split_primes(F, 3):
+            assert roots == modp.roots(F, p)
+            found.append(p)
+    assert found == expected
+
+
+def test_galois_group_forms_no_separate_resolvent_and_lifts_at_most_twice_per_weight(monkeypatch):
+    def no_resolvent(values, m):
+        raise AssertionError("formed the resolvent apart from the certificate")
+
+    lifts = []
+    numeric_roots = galois._numeric_roots
+    monkeypatch.setattr(galois, "_resolvent", no_resolvent)
+    monkeypatch.setattr(galois, "_numeric_roots", lambda *a: lifts.append(a) or numeric_roots(*a))
+    for text in ("x^5 - x - 1", "x^3 - 2"):
+        lifts.clear()
+        res = galois_group(text)
+        assert len(lifts) == 1 and res.p == _first_split_prime(_int_coeffs(text)), text
+    for text, *_ in PINNED_GROUPS:
+        lifts.clear()
+        res = galois_group(text)
+        assert len(lifts) <= 2 * _weights_tried(res.u), text
+
+
+def _weights_tried(u):
+    """The number of weight vectors galois_group tries from the default
+    (0, 1, ..., n-1) up to u, by its redraw u_i -> u_i + i^2."""
+    w, count = tuple(range(len(u))), 1
+    while w != u:
+        w, count = tuple(wi + i * i for i, wi in enumerate(w)), count + 1
+    return count
 
 
 @pytest.mark.parametrize("text", [text for text, _ in ONE_PER_CLASS])
