@@ -37,9 +37,9 @@ from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import NumberField
 from kronecker.polyring import UniPoly
 
-# The slowest squarefree d under the cap is -194 (h = 20): 7-12 s in-process
-# and about 10.5 s as one CLI call (2 cores, Python 3.11.7), nearly all of it
-# in the divisor tests of the order certificates.
+# The slowest squarefree d under the cap is -194 (h = 20): 1.2-1.4 s
+# in-process and about 1.5 s as one CLI call (2 cores, Python 3.11.7), nearly
+# all of it in the divisor tests of the order certificates.
 MAX_ABS_D = 200
 
 

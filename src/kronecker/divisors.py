@@ -17,11 +17,13 @@ matrix over Q[u] of y -> D*y in the power basis, M_D = sum_e u^e M(c_e)
   everything else,
 * the first column of the adjugate, C_i = (-1)^i det(minor(M_D, 0, i)),
   gives the form C = sum_i C_i theta^i with D*C = Nm(D),
-* divisibility: D divides G iff G*Fm(D)/D = G*C/content is again a form with
-  algebraic integer coefficients; the equivalent characteristic-equation
-  criterion (Nm(X*D - G*Fm(D)) = det(X*M_D - M_(G*Fm(D))) must be divisible
-  by Nm(D) with integer quotient coefficients) is computed alongside and
-  the two are required to agree on every call,
+* divisibility: D divides G iff the quotient Q = G*Fm(D)/D = G*C/content
+  is again a form with algebraic integer coefficients.  The equivalent
+  characteristic-equation criterion asks that Nm(X*D - G*Fm(D)) be
+  divisible by Nm(D) with integer quotient coefficients; the norm is
+  multiplicative, so Nm(X*D - G*Fm(D)) = Nm(D)*Nm(X - Q) and that quotient
+  is the characteristic polynomial of M_Q.  Both are computed from Q and
+  required to agree on every call,
 * units are the forms of norm content 1,
 * the gcd of algebraic integers x1, ..., xk is the linear form
   x1*u1 + ... + xk*uk,
@@ -218,15 +220,10 @@ def _as_form(field, x):
 # ---------------------------------------------------------------------------
 
 
-def _matrix(D, unames):
-    """M_D over Q[unames], a superset of D's indeterminates: entry (i, j) is
-    the theta^i coordinate of D*theta^j."""
-    tvar = D.field.minpoly.variable
+def _matrix(D):
+    """M_D over Q[u]: entry (i, j) is the theta^i coordinate of D*theta^j."""
     n = D.field.degree
-    p = D.poly
-    if p.variables[1:] != unames:
-        p = p.with_variables((tvar,) + unames)
-    num, cols = p.num, []
+    num, cols = D.poly.num, []
     for j in range(n):
         if j:
             num = _reduce_terms(D.field, {(e[0] + 1,) + e[1:]: c for e, c in num.items()})
@@ -234,7 +231,7 @@ def _matrix(D, unames):
         for e, c in num.items():
             col[e[0]][e[1:]] = c
         cols.append(col)
-    return [[MultiPoly.from_ints(unames, cols[j][i], p.den) for j in range(n)] for i in range(n)]
+    return [[MultiPoly.from_ints(D.unames, cols[j][i], D.poly.den) for j in range(n)] for i in range(n)]
 
 
 def form_norm(D):
@@ -243,7 +240,7 @@ def form_norm(D):
     It is det M_D; for the monic defining polynomial f this equals
     Res_theta(f, D), and Nm(c) = c^n for a rational constant c.
     """
-    return poly_matrix_det(_matrix(D, D.unames))
+    return poly_matrix_det(_matrix(D))
 
 
 def _content_fm(nm):
@@ -288,21 +285,28 @@ def is_unit(D):
 def divides(D, G):
     """True when the divisor D divides the form (or element) G.
 
-    Both historical criteria are evaluated: the quotient G*Fm(D)/D =
-    G*C/content must be a form with algebraic-integer coefficients, and the
-    characteristic equation Nm(X*D - G*Fm(D)) must be divisible by Nm(D)
-    with integer coefficients.  They are provably equivalent; the
+    Both historical criteria read the quotient Q = G*Fm(D)/D = G*C/content:
+    criterion 1 asks that Q have algebraic-integer coefficients, criterion 2
+    that Nm(X*D - G*Fm(D)) be divisible by Nm(D) with integer quotient
+    coefficients.  The norm is multiplicative over Q(u)(theta), so
+    Nm(X*D - G*Fm(D)) = Nm(D)*Nm(X - Q), and that quotient is the
+    characteristic polynomial of M_Q.  The two are provably equivalent; the
     implementation insists they agree.
+
+    Since both read Q, a fault in the norm or the cofactor C reaches them
+    alike: the agreement check covers integrality read two ways, Q's
+    coefficients against Q's characteristic polynomial.  The route through
+    det(X*M_D - M_(G*Fm(D))) divided by Nm(D), which needs neither C nor Q,
+    is the oracle in tests/test_divisors.py.
     """
-    field = D.field
-    G = _as_form(field, G)
+    G = _as_form(D.field, G)
     if not D.is_integral_form() or not G.is_integral_form():
         raise DomainError("divisibility is defined for integral forms")
-    m = _matrix(D, D.unames)
-    nm = poly_matrix_det(m)
-    content, fm = _content_fm(nm)
-    crit1 = (G * _cofactor(D, m) * Fraction(1, content)).is_integral_form()
-    crit2 = _char_equation_criterion(D, _form(field, G.poly * fm), nm)
+    m = _matrix(D)
+    content = _content_fm(poly_matrix_det(m))[0]
+    q = G * _cofactor(D, m) * Fraction(1, content)
+    crit1 = q.is_integral_form()
+    crit2 = _char_equation_criterion(q)
     if crit1 != crit2:
         raise AlgebraError(
             "internal inconsistency: the two divisibility criteria disagree"
@@ -310,19 +314,10 @@ def divides(D, G):
     return crit1
 
 
-def _char_equation_criterion(D, gfm, nm):
-    """Nm(X*D - G*Fm(D)) = det(X*M_D - M_(G*Fm)) divisible by Nm(D) with
-    integer coefficients, for gfm = G*Fm(D)."""
-    unames = gfm.unames
-    xname = "X_"
-    while xname in unames or xname == D.field.minpoly.variable:
-        xname += "_"
-    variables = unames + (xname,)
-    x = MultiPoly.var(xname, variables)
-    md, mg = _matrix(D, variables), _matrix(gfm, variables)
-    w = poly_matrix_det([[x * a - b for a, b in zip(ra, rb)] for ra, rb in zip(md, mg)])
-    quo = w.div_exact(nm)
-    return quo is not None and quo.den == 1
+def _char_equation_criterion(q):
+    """The characteristic polynomial of M_q has integer coefficients; for
+    q = G*Fm(D)/D it is Nm(X*D - G*Fm(D)) / Nm(D)."""
+    return all(c.den == 1 for c in linalg._berkowitz(_matrix(q)))
 
 
 def absolute_equiv(d1, d2):

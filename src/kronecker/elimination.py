@@ -482,7 +482,11 @@ def parametrize_component(generators, factor, variables=None, unames=None, k=Non
     # the u_0^d coefficient is the projection equation; the u_i u_0^(d-1)
     # coefficients are only consistent with it at the same overall scale, so
     # normalization happens jointly at the very end
-    phi = phi_full.monomial_coefficient({unames[0]: d}).with_variables(variables)
+    phi = phi_full.monomial_coefficient({unames[0]: d})
+    # a projection equation that involves the weights marks an immersed sheet set
+    if any(u in phi.used_variables() for u in unames):
+        return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
+    phi = phi.with_variables(variables)
     if phi.is_zero or phi.degree(variables[0]) != d:
         return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
     if any(v in phi.used_variables() for v in variables[k + 1 :]):

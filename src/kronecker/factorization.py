@@ -167,7 +167,9 @@ def _search_factor(f, degree):
     """First (in deterministic tuple order) degree-d factor of f, or None.
 
     f is primitive, squarefree, with integer coefficients and no rational
-    roots, and f(r) != 0 on the evaluation points used.
+    roots, and f(r) != 0 on the evaluation points used.  Only
+    _factor_squarefree_interpolation calls it: Kronecker's interpolation
+    search, kept as the tests' reference for the modular route.
     """
     pts = []
     vals = []
@@ -205,7 +207,11 @@ def _search_factor(f, degree):
 
 def _factor_squarefree_interpolation(f):
     """Irreducible factors of a primitive squarefree integer polynomial, by
-    the interpolation search."""
+    Kronecker's interpolation search.
+
+    No route of the package calls it: it is the tests' reference for the
+    modular route of _factor_squarefree, which factor_univariate takes.
+    """
     factors, f = _extract_integer_roots(f)
     factors = [g.content_primitive()[1] for g in factors]
     if f.degree > UNIVARIATE_DEGREE_CAP:

@@ -322,6 +322,27 @@ PINNED = {
     "  class rep (3*t - 146)*u1*u2 + 5*t*u1 + (2*t + 6)*u2 + 10 (norm 10, order 16)\n"
     "  class rep (2*t - 145)*u1^2 + (6*t + 6)*u1 + 9 (norm 9, order 4)\n"
     "  class rep (4*t - 142)*u2^2 + (6*t + 12)*u2 + 9 (norm 9, order 4)\n",
+    -194: "h(-194) = 20\n"
+    "  class rep 1 (norm 1, order 1)\n"
+    "  class rep t*u1 + 2 (norm 2, order 2)\n"
+    "  class rep (t + 1)*u1 + 3 (norm 3, order 5)\n"
+    "  class rep (t + 2)*u2 + 3 (norm 3, order 5)\n"
+    "  class rep (t + 1)*u1 + 5 (norm 5, order 20)\n"
+    "  class rep (t + 4)*u2 + 5 (norm 5, order 20)\n"
+    "  class rep (t + 3)*u1 + 7 (norm 7, order 20)\n"
+    "  class rep (t + 4)*u2 + 7 (norm 7, order 20)\n"
+    "  class rep (t + 2)*u1 + 11 (norm 11, order 10)\n"
+    "  class rep (t + 9)*u2 + 11 (norm 11, order 10)\n"
+    "  class rep (t + 1)*u1 + 13 (norm 13, order 4)\n"
+    "  class rep (t + 12)*u2 + 13 (norm 13, order 4)\n"
+    "  class rep (t - 194)*u1^2 + (5*t + 2)*u1 + 6 (norm 6, order 10)\n"
+    "  class rep (2*t - 194)*u1*u2 + 3*t*u1 + (2*t + 4)*u2 + 6 (norm 6, order 10)\n"
+    "  class rep (t - 194)*u1^2 + (7*t + 2)*u1 + 10 (norm 10, order 20)\n"
+    "  class rep (4*t - 194)*u1*u2 + 5*t*u1 + (2*t + 8)*u2 + 10 (norm 10, order 20)\n"
+    "  class rep (3*t - 194)*u1^2 + (9*t + 6)*u1 + 14 (norm 14, order 20)\n"
+    "  class rep (4*t - 194)*u1*u2 + 7*t*u1 + (2*t + 8)*u2 + 14 (norm 14, order 20)\n"
+    "  class rep (2*t - 194)*u1^2 + (13*t + 4)*u1 + 22 (norm 22, order 5)\n"
+    "  class rep (9*t - 194)*u1*u2 + 11*t*u1 + (2*t + 18)*u2 + 22 (norm 22, order 5)\n",
 }
 
 

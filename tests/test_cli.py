@@ -8,6 +8,7 @@ byte for byte, in text and in --json mode; an error exits with 1 and one
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -110,6 +111,11 @@ PINNED = [
     (["--json", "eliminate", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["eliminate", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
     (["--json", "eliminate", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
+    # the projection equation of the doubled lines involves a weight: an immersed component
+    (["eliminate", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, "codim 2: resolvent x*z\n  factor: x\n  factor: z\ntotal resolvente: x*z\n", ""),
+    (["--json", "eliminate", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, '{"components": [], "empty": false, "parts": [{"codim": 2, "factors": ["x", "z"], "resolvent": "x*z"}]}\n', ""),
+    (["parametrize", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, "immersed sheet (codim 2, degree 2): skipped\n", ""),
+    (["--json", "parametrize", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, '{"components": [], "empty": false, "parts": [{"codim": 2, "factors": ["x", "z"], "resolvent": "x*z"}]}\n', ""),
     (["parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["--json", "parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["parametrize", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
@@ -125,6 +131,26 @@ PINNED = [
 def test_cli_output_is_pinned(argv, code, out, err, capsys):
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["eliminate", "parametrize"])
+def test_eliminate_names_no_internal_variable(mode, command, capsys):
+    """No message names the weights u0, u1, ..., the combination
+    coefficients U1, V1, ... or the fiber combination X_: not on the doubled
+    lines whose projection equation keeps a weight (an immersed component),
+    nor on other doubled components or on a projection that is not proper."""
+    systems = [
+        ["x*z", "y^2 - 3*x*y*z^2"],
+        ["2*x*z", "2*y*z^2 + 3*x^2*z + 2"],
+        ["3*x^2*y", "z^2 - 3*y^2 + 2*x*y"],
+        ["2*x^2 - 2*x*z", "x^2*z^2"],
+        ["2*z + 3*x^2*y - 3", "y^2"],
+    ]
+    for system in systems:
+        assert main([*mode, command, "--", *system]) == 0
+        out, err = capsys.readouterr()
+        assert not re.search(r"\b(u\d|U\d|V\d|X_)", out + err), (system, out + err)
 
 
 def test_interpolation_at_rational_points_is_pinned(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kronecker import divisors
 from kronecker.divisors import (
     DivisorForm,
     _cofactor,
@@ -20,7 +21,7 @@ from kronecker.divisors import (
 )
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import NumberField
-from kronecker.polyring import parse_poly
+from kronecker.polyring import MultiPoly, parse_poly, poly_matrix_det
 
 
 @pytest.fixture(scope="module")
@@ -285,17 +286,64 @@ def test_ramified_primes_examples():
     assert ramified_primes(NumberField("t")) == set()
 
 
+def _char_equation_by_determinant(D, G):
+    """The characteristic-equation criterion the long way round, with
+    neither the cofactor nor the quotient: det(X*M_D - M_(G*Fm(D))) =
+    Nm(X*D - G*Fm(D)) in one extra variable X_, divided exactly by Nm(D),
+    must have integer coefficients."""
+    nm, _, fm = form_norm_content_fm(D)
+    gfm = DivisorForm.from_multipoly(D.field, fm) * G
+    variables = gfm.unames + ("X_",)  # Fm(D), so gfm, is a form in all of D's indeterminates
+    x = MultiPoly.var("X_", variables)
+    md, mg = ([[a.with_variables(variables) for a in row] for row in _matrix(F)] for F in (D, gfm))
+    w = poly_matrix_det([[x * a - b for a, b in zip(ra, rb)] for ra, rb in zip(md, mg)])
+    quo = w.div_exact(nm)
+    return quo is not None and quo.den == 1
+
+
+def _agreement_pairs(rng, fields, names, count):
+    """count (D, G) pairs over forms in the given indeterminates; every
+    other D carries a nonunit constant factor and every third G is a
+    multiple of D, so that both answers occur."""
+    for k in range(count):
+        K = rng.choice(fields)
+        D = _random_form(rng, K, names)
+        if k % 2:
+            D = D * K.element([rng.randint(1, 3)] + [rng.randint(-2, 2) for _ in range(K.degree - 1)])
+        if k % 3 == 0:
+            G = D * _random_form(rng, K, names[:1])
+        elif rng.random() < 0.5:
+            G = _random_form(rng, K, names[:1])
+        else:
+            G = DivisorForm.constant(K, K.element([rng.randint(-5, 5) or 1]))
+        yield D, G
+
+
 def test_divides_criteria_always_agree(K5, Ki):
-    """divides() computes both historical criteria and raises if they ever
-    part ways; a run over random forms doubles as the agreement suite."""
+    """divides() agrees with the determinant-and-divide route on random
+    pairs, over quadratic fields in two indeterminates and over the cubic
+    t^3 - t - 1 in two and three, where criterion 2 runs a 3 x 3 Berkowitz
+    recurrence over Q[u]."""
     rng = random.Random(67)
-    for _ in range(120):
-        K = rng.choice([K5, Ki])
-        D = _random_form(rng, K, ("u", "v"))
-        G = _random_form(rng, K, ("u",)) if rng.random() < 0.5 else DivisorForm.constant(
-            K, K.element([rng.randint(-5, 5) or 1])
-        )
-        divides(D, G)  # internal assertion checks the equivalence
+    K3 = NumberField("t^3 - t - 1")
+    pairs = [
+        *_agreement_pairs(rng, [K5, Ki], ("u", "v"), 120),
+        *_agreement_pairs(rng, [K3], ("u", "v"), 30),
+        *_agreement_pairs(rng, [K3], ("u", "v", "w"), 20),
+    ]
+    answers = [divides(D, G) for D, G in pairs]
+    assert answers == [_char_equation_by_determinant(D, G) for D, G in pairs]
+    assert True in answers and False in answers
+
+
+def test_divides_raises_when_the_criteria_disagree(K5, monkeypatch):
+    """The agreement check is a raise, so it survives python -O."""
+    D = _lin(K5, [K5.element([2]), K5.one() + K5.gen()], ("u", "v"))
+    criterion = divisors._char_equation_criterion
+    monkeypatch.setattr(divisors, "_char_equation_criterion", lambda q: not criterion(q))
+    for G in (K5.element([2]), K5.element([3])):
+        with pytest.raises(AlgebraError, match="criteria disagree"):
+            divides(D, G)
 
 
 def test_negative_form_power_raises(K5):
@@ -395,7 +443,7 @@ def test_cofactor_gives_the_norm_and_the_long_division_quotient(minpoly):
         G = _random_integral_form(rng, K, tuple(rng.sample(names, rng.randint(1, 3))))
         halves += D.poly.den == 2
         nm, content, fm = form_norm_content_fm(D)
-        C = _cofactor(D, _matrix(D, D.unames))
+        C = _cofactor(D, _matrix(D))
         assert (D * C).poly == form_norm(D) == nm
         quo = G * C * Fraction(1, content)
         ref = _divide_forms_by_rescan(G * DivisorForm.from_multipoly(K, fm), D)
