@@ -7,6 +7,14 @@ and eliminating the last remaining variable through the resultant of two
 indeterminate-weighted combinations projects what is left one dimension
 down.  The product of the partial resolvents is the total resolvent.
 
+With exactly two generators g and h involving the variable, of degrees
+m >= n in it, the weights only multiply the resultant by a unit: by the
+pencil identity Syl(ag + bh, cg + dh) = [[aI, bI], [cI, dI]] Syl_(m,m)(g, h),
+Res(ag + bh, cg + dh) = (ad - bc)^m Res_(m,m)(g, h)
+= +-(ad - bc)^m lc(g)^(m-n) Res(g, h).  So that step takes the one plain
+resultant lc(g)^(m-n) Res(g, h) (see eliminate_step); three or more
+generators keep the weights.
+
 Component parametrization follows the classical extraction from the
 u-weighted resolvent: writing the fiber coordinate as
 x = u_0 x0 + u_1 x1 + ... and rerunning the elimination, an irreducible
@@ -126,13 +134,27 @@ class _Degenerate(Exception):
 
 
 def eliminate_step(generators, var):
-    """Coefficients, with respect to the U,V monomials, of the resultant of
-    two indeterminate combinations of the generators.
+    """Project V(generators) along var: the generators free of var, and
+    the coefficients, with respect to the U,V monomials, of the resultant
+    of two indeterminate combinations of those that involve it.
 
     Generators free of the eliminated variable pass through untouched.  A
     single active generator projects densely, so it contributes nothing.
     When nothing involves the variable the input is returned unchanged with
     eliminated=False.
+
+    Two active generators g and h, of degrees m >= n in var, need no
+    weights (the pencil identity).  The Sylvester matrix of ag + bh and
+    cg + dh, both of degree m, factors as [[aI, bI], [cI, dI]] times
+    Syl_(m,m)(g, h), the Sylvester matrix that reads h as a polynomial of
+    degree m with zero leading coefficients, so the weighted resultant is
+    (ad - bc)^m Res_(m,m)(g, h).  The first column of Syl_(m,m)(g, h) holds
+    lc(g) in g's first row and zeros elsewhere, since h's coefficient there
+    is zero; expanding down it leaves Syl_(m,m-1)(g, h), and m - n such
+    steps leave +-lc(g)^(m-n) Res(g, h).  Each U,V coefficient is therefore
+    +-C(m, k) lc(g)^(m-n) Res(g, h), which normalize_primitive maps to one
+    polynomial, so that one generator is returned in their place, over the
+    variable tuple the weighted route gives it.
     """
     gens = [g for g in generators if not g.is_zero]
     active = [g for g in gens if g.degree(var) > 0]
@@ -141,6 +163,20 @@ def eliminate_step(generators, var):
         return EliminationStep(list(gens), False)
     if len(active) == 1:
         return EliminationStep(_interreduce(passive), True)
+    if len(active) > 2:
+        return _weighted_step(passive, active, var)
+    g, h = active[0]._align(active[1])
+    if g.degree(var) < h.degree(var):
+        g, h = h, g
+    m, n = g.degree(var), h.degree(var)
+    res = g.coeffs_in(var)[m] ** (m - n) * polyring.resultant(g, h, var)
+    return EliminationStep(_interreduce(passive + [res]), True)
+
+
+def _weighted_step(passive, active, var):
+    """Kronecker's projection of m >= 2 active generators: the coefficients
+    of Res(sum U_i g_i, sum V_i g_i) in the weights, after the passive
+    generators."""
     m = len(active)
     unames = [f"U{i + 1}" for i in range(m)]
     vnames = [f"V{i + 1}" for i in range(m)]
@@ -150,10 +186,7 @@ def eliminate_step(generators, var):
         a = a + MultiPoly.var(unames[i], (unames[i],)) * g
         b = b + MultiPoly.var(vnames[i], (vnames[i],)) * g
     res = polyring.resultant(a, b, var)
-    coeffs = _coefficients_wrt(res, unames + vnames)
-    out = list(passive)
-    out.extend(coeffs)
-    return EliminationStep(_interreduce(out), True)
+    return EliminationStep(_interreduce(passive + _coefficients_wrt(res, unames + vnames)), True)
 
 
 def _coefficients_wrt(p, names):

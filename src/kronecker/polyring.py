@@ -1121,9 +1121,9 @@ def _gcd_prs(p, q):
     return normalize_primitive(cont * g)
 
 
-# poly_matrix_det packs only while its slot count is at most this many times
-# the Leibniz bound on the determinant's term count, and while one packed
-# entry fits in this many bytes; see its docstring.
+# poly_matrix_det packs only while one packed entry fits in this many bytes,
+# and while its slot count is at most this many times the bound on the
+# determinant's term count; see its docstring.
 _SLOTS_PER_TERM = 16
 _PACKED_BYTES_CAP = 2**20
 
@@ -1145,18 +1145,26 @@ def poly_matrix_det(rows):
       k bits wide, a whole number of bytes with 2^(k-1) > B, so each
       coefficient is one signed digit in base t = 2^k.
 
-    Each term of the determinant is a product of one term from each row,
-    so it has at most P = prod_i |monomials of row i| terms.  When S
-    exceeds _SLOTS_PER_TERM * P, the packed integers would be almost all
-    zero digits (a sparse determinant in many variables, such as the
-    resultants of elimination.eliminate_step in the U and V weights: for
-    one 6x6 in 17 variables S/P is 843, and the packed integers would
-    span 12.6 GB), and the determinant is taken on the term maps instead.  The
-    same happens when one packed entry would take more than
-    _PACKED_BYTES_CAP bytes (slots times width): P counts colliding
-    monomials separately, so it can overestimate the output by orders of
-    magnitude; without the cap, `eliminate` on -x - 3*y^2 + 3 and
-    x^2 + x*z - 3*y^2 gets no answer in 60 s, against 0.3 s with it.
+    Two tests send the determinant to the term maps instead, in this order:
+    - one packed entry would take more than _PACKED_BYTES_CAP bytes (slots
+      times width);
+    - the packed integers would be almost all zero digits.  Each term of
+      the determinant is a product of one term from each row, so its
+      monomials lie in the Minkowski sum of the rows' exponent sets.  When
+      that sum has at most S // _SLOTS_PER_TERM elements, the determinant
+      is sparse in its slots.  The sum is built row by row on the slot
+      indices (the slot map is additive within the spans) and given up,
+      in favour of packing, once it passes that limit or would take more
+      than S set insertions, so that it costs no more than the S slots
+      that packing fills.  A zero row leaves the sum empty.
+    The product P = prod_i |monomials of row i| is the same sum counted
+    without removing duplicates, and it can overestimate the output by
+    orders of magnitude.  A Sylvester matrix of elimination's u-run, 4x4
+    in 7 variables with S = 59,049 slots, has P = 50,625, past
+    S // 16 = 3,690, but a sum of 495: its 105 terms take 8 ms on the
+    term maps and 1.3-2.4 s packed (one core of a Xeon server).  Without
+    the byte cap, `eliminate` on -x - 3*y^2 + 3 and x^2 + x*z - 3*y^2 once
+    got no answer in 60 s.
     Both routes run the division-free linalg.berkowitz_det, the term route
     on the MultiPoly entries themselves, which need no row scaling.
     """
@@ -1173,8 +1181,6 @@ def poly_matrix_det(rows):
     m = [[a if a.variables == variables else a.with_variables(variables) for a in row] for row in rows]
     spans = [1 + sum(max((e[v] for a in row for e in a.num), default=0) for row in m) for v in range(len(variables))]
     slots = prod(spans)
-    if slots > _SLOTS_PER_TERM * prod(len({e for a in row for e in a.num}) for row in m):
-        return _poly_matrix_det_terms(m)
     weights = slot_weights(spans)
     scale, bound, int_rows = 1, 1, []
     for row in m:
@@ -1184,11 +1190,29 @@ def poly_matrix_det(rows):
         scale *= d
         int_rows.append(ints)
     width = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8*width - 1) > bound
-    if slots * width > _PACKED_BYTES_CAP:
+    if slots * width > _PACKED_BYTES_CAP or _sparse_support(int_rows, slots):
         return _poly_matrix_det_terms(m)
     det = linalg.mat_det([[pack(t, width) for t in row] for row in int_rows])
     terms = {slot_exponent(s, spans): c for s, c in unpack(det, slots, width).items()}
     return MultiPoly.from_ints(variables, terms, scale)
+
+
+def _sparse_support(int_rows, slots):
+    """Whether the Minkowski sum of the rows' slot sets has at most
+    slots // _SLOTS_PER_TERM elements; False as soon as it passes that
+    limit or would take more than slots set insertions."""
+    key_sets = [{s for t in row for s in t} for row in int_rows]
+    if not all(key_sets):
+        return True  # a zero row leaves the sum empty
+    limit, budget, support = slots // _SLOTS_PER_TERM, slots, {0}
+    for keys in key_sets:
+        budget -= len(support) * len(keys)
+        if budget < 0:
+            return False
+        support = {s + k for s in support for k in keys}
+        if len(support) > limit:
+            return False
+    return True
 
 
 def _poly_matrix_det_terms(m):

@@ -116,6 +116,12 @@ PINNED = [
     (["--json", "eliminate", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, '{"components": [], "empty": false, "parts": [{"codim": 2, "factors": ["x", "z"], "resolvent": "x*z"}]}\n', ""),
     (["parametrize", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, "immersed sheet (codim 2, degree 2): skipped\n", ""),
     (["--json", "parametrize", "--", "x*z", "y^2 - 3*x*y*z^2"], 0, '{"components": [], "empty": false, "parts": [{"codim": 2, "factors": ["x", "z"], "resolvent": "x*z"}]}\n', ""),
+    # a curve in the plane z = 0, answered after a coordinate redraw
+    (["eliminate", "--", "2*z^2", "-3*x*y^2 + 2*y^2 + 3*x"], 0, "codim 2: resolvent 4*z^3 - 9*z^2*x + 144*z^2*y - 324*z*x*y + 1296*z*y^2 - 2916*x*y^2 + 6*z^2 + 216*z*y + 1944*y^2 - 1296*z + 2916*x\n  factor: 4*z^3 - 9*z^2*x + 144*z^2*y - 324*z*x*y + 1296*z*y^2 - 2916*x*y^2 + 6*z^2 + 216*z*y + 1944*y^2 - 1296*z + 2916*x\ntotal resolvente: 4*z^3 - 9*z^2*x + 144*z^2*y - 324*z*x*y + 1296*z*y^2 - 2916*x*y^2 + 6*z^2 + 216*z*y + 1944*y^2 - 1296*z + 2916*x\n", ""),
+    (["--json", "eliminate", "--", "2*z^2", "-3*x*y^2 + 2*y^2 + 3*x"], 0, '{"components": [{"params": [{"den": "10140000*z^5 + 14040000*z^4*x + 7754400*z^3*x^2 + 2135160*z^2*x^3 + 293058*z*x^4 + 16038*x^5 + 7800000*z^4 + 8928000*z^3*x + 3823200*z^2*x^2 + 725760*z*x^3 + 51516*x^4 - 42364800*z^3 - 33579360*z^2*x - 8814096*z*x^2 - 765936*x^3 - 15163200*z^2 - 8398080*z*x - 1154736*x^2 + 35481888*z + 8188128*x", "num": "-16562000*z^5*x - 22666800*z^4*x^2 - 12365640*z^3*x^3 - 3360744*z^2*x^4 - 454977*z*x^5 - 24543*x^6 - 114920000/3*z^5 - 69316000*z^4*x - 47752800*z^3*x^2 - 15889680*z^2*x^3 - 2575260*z*x^4 - 163458*x^5 + 520145600*z^4 + 605675040*z^3*x + 259376688*z^2*x^2 + 48500424*z*x^3 + 3346272*x^4 + 372340800*z^3 + 334095840*z^2*x + 98385840*z*x^2 + 9500328*x^3 - 1742554944*z^2 - 821997072*z*x - 96892848*x^2", "var": "y"}], "phi": "1690000*z^6 + 2808000*z^5*x + 1938600*z^4*x^2 + 711720*z^3*x^3 + 146529*z^2*x^4 + 16038*z*x^5 + 729*x^6 + 1560000*z^5 + 2232000*z^4*x + 1274400*z^3*x^2 + 362880*z^2*x^3 + 51516*z*x^4 + 2916*x^5 - 10591200*z^4 - 11193120*z^3*x - 4407048*z^2*x^2 - 765936*z*x^3 - 49572*x^4 - 5054400*z^3 - 4199040*z^2*x - 1154736*z*x^2 - 104976*x^3 + 17740944*z^2 + 8188128*z*x + 944784*x^2"}], "empty": false, "parts": [{"codim": 2, "factors": ["4*z^3 - 9*z^2*x + 144*z^2*y - 324*z*x*y + 1296*z*y^2 - 2916*x*y^2 + 6*z^2 + 216*z*y + 1944*y^2 - 1296*z + 2916*x"], "resolvent": "4*z^3 - 9*z^2*x + 144*z^2*y - 324*z*x*y + 1296*z*y^2 - 2916*x*y^2 + 6*z^2 + 216*z*y + 1944*y^2 - 1296*z + 2916*x"}]}\n', ''),
+    # the u-run's sparse Sylvester determinants take the term maps
+    (["eliminate", "--", "-x - 3*y^2 + 3", "x^2 + x*z - 3*y^2"], 0, "codim 2: resolvent 3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747\n  factor: 3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747\ntotal resolvente: 3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747\n", ""),
+    (["--json", "eliminate", "--", "-x - 3*y^2 + 3", "x^2 + x*z - 3*y^2"], 0, '{"components": [{"params": [{"den": "1705548*x^3 + 1207908*x^2*y + 285108*x*y^2 + 22428*y^3 + 619554*x^2 + 286962*x*y + 33228*y^2 - 1174608*x - 277704*y + 40698", "num": "-1073319*x^3*y - 758979*x^2*y^2 - 178869*x*y^3 - 14049*y^4 - 5027750*x^3 - 3814460*x^2*y - 957777*x*y^2 - 79677*y^3 + 28787720*x^2 + 14361105*x*y + 1786599*y^2 - 3019986*x - 752400*y - 970938", "var": "z"}], "phi": "426387*x^4 + 402636*x^3*y + 142554*x^2*y^2 + 22428*x*y^3 + 1323*y^4 + 206518*x^3 + 143481*x^2*y + 33228*x*y^2 + 2565*y^3 - 587304*x^2 - 277704*x*y - 32832*y^2 + 40698*x + 9747*y + 9747"}], "empty": false, "parts": [{"codim": 2, "factors": ["3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747"], "resolvent": "3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747"}]}\n', ''),
     (["parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["--json", "parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["parametrize", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
@@ -202,6 +208,17 @@ def test_malformed_input_exits_without_a_traceback(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def test_a_budget_refusal_exits_1_with_one_error_line():
+    # the image of x^12 - y^12 under Kronecker substitution has more factors
+    # than the recombination allows; the message is left free to change
+    proc = _run("factor", "--", "x^12 - y^12")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["galois", "resolvent"])

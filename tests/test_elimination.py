@@ -1,11 +1,13 @@
 """Variety decomposition, elimination steps, component parametrization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from kronecker.elimination import (
     EliminationConfig,
+    _weighted_step,
     decompose_variety,
     eliminate_step,
     total_resolvente,
@@ -41,6 +43,70 @@ def test_step_variable_absent():
     step = eliminate_step(gens, "z")
     assert not step.eliminated
     assert step.generators == gens
+
+
+def _weighted_oracle(gens, var):
+    """eliminate_step by Kronecker's U,V weights on every active generator."""
+    gens = [g for g in gens if not g.is_zero]
+    passive = [g for g in gens if g.degree(var) <= 0]
+    return _weighted_step(passive, [g for g in gens if g.degree(var) > 0], var)
+
+
+def _same_generators(a, b):
+    assert [(g.variables, str(g)) for g in a] == [(g.variables, str(g)) for g in b]
+
+
+def _rand_gen(rng, names):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        terms[tuple(rng.randint(0, 2) for _ in names)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return MultiPoly(names, terms)
+
+
+def test_two_generator_step_matches_the_weighted_resultant():
+    """Two active generators take one plain resultant (the pencil identity):
+    the same generators, over the same variable tuples, as the U,V route."""
+    rng = random.Random(28)
+    checked = 0
+    while checked < 320:
+        var = rng.choice("xyz")
+        g = _rand_gen(rng, tuple(rng.sample("xyz", rng.randint(1, 3))))
+        h = _rand_gen(rng, tuple(rng.sample("xyz", 3)))
+        if g.degree(var) <= 0 or h.degree(var) <= 0:
+            continue
+        passive = [p for p in (_rand_gen(rng, tuple("xyz")) for _ in range(rng.randint(0, 2))) if p.degree(var) <= 0]
+        gens = passive[:1] + [g] + passive[1:] + [h]
+        step = eliminate_step(gens, var)
+        assert step.eliminated
+        _same_generators(step.generators, _weighted_oracle(gens, var).generators)
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "texts, var",
+    [
+        (["x*z^2 + y*z + 1", "z^2 - x*y", "y^2 - 2"], "z"),  # equal degrees
+        (["x*z^2 + 1", "y*z + x"], "z"),  # a gap under a non-constant lc
+        (["y*z + x", "x*z^2 + 1", "x^2 - y"], "z"),  # the same, lower degree first
+    ],
+)
+def test_two_generator_step_hand_cases(texts, var):
+    gens = parse_polys(texts)
+    _same_generators(eliminate_step(gens, var).generators, _weighted_oracle(gens, var).generators)
+
+
+def test_gap_keeps_the_leading_coefficient_factor():
+    # Res_z(x*z^2 + 1, y*z + x) = x^3 + y^2, times lc^(2 - 1) = x
+    step = eliminate_step(parse_polys(["x*z^2 + 1", "y*z + x"]), "z")
+    assert step.generators == [parse_poly("x^4 + x*y^2")]
+
+
+def test_common_factor_leaves_only_the_passive_generators():
+    gens = parse_polys(["(z + x)*(y - 1)", "(z + x)*(y + 2)*z", "x^2 - y"])
+    step = eliminate_step(gens, "z")
+    assert step.eliminated
+    assert step.generators == [parse_poly("x^2 - y")]
+    _same_generators(step.generators, _weighted_oracle(gens, "z").generators)
 
 
 # -- decompose_variety -----------------------------------------------------------

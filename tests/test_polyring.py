@@ -423,6 +423,39 @@ def test_sparse_det_past_the_slot_cap_uses_term_bareiss(monkeypatch):
     assert det == _leibniz_det(rows)
 
 
+def _u_run_sylvester_4x4(monkeypatch):
+    """The 4x4 Sylvester matrix that elimination's u-run forms for
+    -x - 3*y^2 + 3 and x^2 + x*z - 3*y^2, over the 7 variables x, y, z, X_
+    and the weights u0, u1, u2, with 9^5 = 59,049 slots."""
+    from kronecker.elimination import decompose_variety
+
+    seen = []
+    det = polyring.poly_matrix_det
+    monkeypatch.setattr(polyring, "poly_matrix_det", lambda rows: seen.append(rows) or det(rows))
+    decompose_variety(polyring.parse_polys(["-x - 3*y^2 + 3", "x^2 + x*z - 3*y^2"]))
+    monkeypatch.setattr(polyring, "poly_matrix_det", det)
+    return next(rows for rows in seen if len(rows) == 4 and len(rows[0][0].variables) == 7)
+
+
+def test_sparse_u_run_det_takes_the_term_route(monkeypatch):
+    # the rows' monomial counts multiply to 50,625, past 59,049 / 16, but
+    # their Minkowski sum (495) stays below it; packed, it took over a second
+    rows = _u_run_sylvester_4x4(monkeypatch)
+    calls = _term_route_calls(monkeypatch)
+    assert poly_matrix_det(rows) == _leibniz_det(rows)
+    assert calls == [4]
+
+
+def test_dense_sylvester_det_of_two_quartic_trivariates_packs(monkeypatch):
+    calls = _term_route_calls(monkeypatch)
+    p = parse_poly("2*x^4 + x^3*y - 3*x^2*y*z + x*z^3 - y^4 + 5*y - 1")
+    q = parse_poly("x^4 - 2*x^3*z + x^2*y^2 + 4*x*y*z - z^4 + x - 3").with_variables(p.variables)
+    rows = sylvester_matrix(p, q, "x")
+    assert len(rows) == 8
+    assert poly_matrix_det(rows) == _leibniz_det(rows)
+    assert calls == []
+
+
 def test_resultant_and_disc_match_the_term_route():
     rng = random.Random(37)
     checked = 0
