@@ -5,7 +5,10 @@ The loop, for k = n-1 down to 0: the gcd of the current generators is the
 partial resolvent describing the codimension-(n-k) part; dividing it out
 and eliminating the last remaining variable through the resultant of two
 indeterminate-weighted combinations projects what is left one dimension
-down.  The product of the partial resolvents is the total resolvent.
+down.  The product of the partial resolvents is the total resolvent.  The
+loop stops at a constant generator or after the last variable; generators
+left over then have no common root, so with no partial resolvent recorded
+the variety is empty.
 
 With exactly two generators g and h involving the variable, of degrees
 m >= n in it, the weights only multiply the resultant by a unit: by the
@@ -17,11 +20,12 @@ generators keep the weights.
 
 Component parametrization follows the classical extraction from the
 u-weighted resolvent: writing the fiber coordinate as
-x = u_0 x0 + u_1 x1 + ... and rerunning the elimination, an irreducible
-factor of the u-resolvent of degree d carries the projection equation as
-its u_0^d coefficient, and the coefficient of u_i u_0^(d-1) has the shape
-x_i * phi' - phi_i with phi' the derivative of the projection equation, so
-each dependent coordinate is recovered as phi_i / phi'.
+x = u_0 x0 + u_1 x1 + ... and rerunning the same loop on the substituted
+generators, an irreducible factor of the u-resolvent of degree d carries
+the projection equation as its u_0^d coefficient, and the coefficient of
+u_i u_0^(d-1) has the shape x_i * phi' - phi_i with phi' the derivative of
+the projection equation, so each dependent coordinate is recovered as
+phi_i / phi'.
 
 Coordinates: the first attempt uses the input coordinates unchanged; when a
 degeneracy is detected (a resolvent not involving the fiber coordinate, a
@@ -280,43 +284,6 @@ def _squarefree_factors(poly):
     return normalize_primitive(sq), sorted(factors, key=lambda f: (f.total_degree(), str(f)))
 
 
-def _skeleton(gens, variables):
-    """Plain run: [(codim, full gcd F, current-after)] down the dimensions.
-
-    Returns (stages, saw_constant) where stages hold the full (non-squarefree)
-    partial resolvents in the working coordinates.
-    """
-    n = len(variables)
-    current = _interreduce(gens)
-    stages = []
-    saw_constant = False
-    for k in range(n - 1, -1, -1):
-        if not current:
-            break
-        if any(g.is_constant for g in current):
-            saw_constant = True
-            break
-        f = polyring.gcd_list(current)
-        if f.is_zero:
-            break
-        if f.total_degree() >= 1:
-            stages.append((n - k, f))
-            current = _interreduce([g.div_exact(f) for g in current])
-        if k == 0:
-            if current and not any(g.is_constant for g in current):
-                # leftover generators in one variable with no common root
-                saw_constant = True
-            break
-        if not current:
-            break
-        if any(g.is_constant for g in current):
-            saw_constant = True
-            break
-        step = eliminate_step(current, variables[k])
-        current = step.generators
-    return stages, saw_constant
-
-
 def _u_substituted(gens, variables, unames):
     """Generators with x0 replaced by (X - u_1 x_1 - ... )/u_0, cleared."""
     x0 = variables[0]
@@ -351,39 +318,38 @@ def _strip_u_content(p, unames):
     return normalize_primitive(p.div_exact(cont))
 
 
-def _u_skeleton(gens, variables, unames):
-    """The elimination loop rerun on the u-substituted generators.
-
-    Factors involving only the weights are units of the localized ring: they
-    are divided out with the rest of the gcd but never recorded as parts.
-    """
+def _skeleton(gens, variables, unames=()):
+    """The elimination loop: [(codim, partial resolvent)] down the
+    dimensions, and the generators left over.  Factors of a gcd involving
+    only the weights unames are units of the localized ring: divided out
+    with the rest, never recorded."""
     n = len(variables)
-    current = _interreduce(_u_substituted(gens, variables, unames))
+    current = _interreduce(gens)
     stages = []
     geometric = set(variables) | {_X}
     for k in range(n - 1, -1, -1):
         if not current or any(g.is_constant for g in current):
             break
-        f_full = polyring.gcd_list(current)
-        if f_full.is_zero:
+        f = polyring.gcd_list(current)
+        if f.total_degree() >= 1:
+            part = _strip_u_content(f, unames)
+            if part.used_variables() & geometric:
+                stages.append((n - k, part))
+            current = _interreduce([g.div_exact(f) for g in current])
+        if k == 0 or not current or any(g.is_constant for g in current):
             break
-        if f_full.total_degree() >= 1:
-            f = _strip_u_content(f_full, unames)
-            if f.used_variables() & geometric:
-                stages.append((n - k, f))
-            current = _interreduce([g.div_exact(f_full) for g in current])
-        if k == 0:
-            break
-        if not current or any(g.is_constant for g in current):
-            break
-        step = eliminate_step(current, variables[k])
-        current = step.generators
-    return stages
+        current = eliminate_step(current, variables[k]).generators
+    return stages, current
 
 
 def decompose_variety(generators, config=None):
     """Decompose V(generators) into equidimensional parts with parametrized
     components; deterministic for a fixed config.seed.
+
+    The plain and u-weighted runs are one elimination loop, _skeleton, on
+    different generators: the working ones, and the same with x0 replaced
+    by the fiber combination.  The first gives the parts, the second the
+    resolvents that parametrize their components.
 
     The result's ``variables`` are in order of first appearance across the
     generators, and the rows and columns of its ``coordinate_change``
@@ -412,8 +378,6 @@ def decompose_variety(generators, config=None):
         return VarietyDecomposition(
             variables, _draw_matrix(len(variables), config.seed, 0), empty=True
         )
-    if not variables:
-        return VarietyDecomposition((), [[1]], empty=True)
 
     last_error = None
     for attempt in range(MAX_RETRIES):
@@ -434,10 +398,8 @@ def _decompose_with_matrix(gens, variables, matrix):
     working = [_apply_matrix(g, inverse, variables) for g in gens]
     unames = tuple(f"u{i}" for i in range(n))
 
-    stages, saw_constant = _skeleton(working, variables)
-    u_stages = dict()
-    for codim, fu in _u_skeleton(working, variables, unames):
-        u_stages[codim] = fu
+    stages, leftover = _skeleton(working, variables)
+    u_stages = dict(_skeleton(_u_substituted(working, variables, unames), variables, unames)[0])
 
     out = VarietyDecomposition(variables, matrix)
     for codim, f in stages:
@@ -468,7 +430,7 @@ def _decompose_with_matrix(gens, variables, matrix):
                 # the u-resolvent of one component: rerun with the factor
                 # adjoined, which keeps that component and drops its siblings
                 # to lower stages
-                sub = dict(_u_skeleton(working + [fac], variables, unames))
+                sub = dict(_skeleton(_u_substituted(working + [fac], variables, unames), variables, unames)[0])
                 fu_i = sub.get(codim)
                 if fu_i is None:
                     raise _Degenerate(
@@ -478,8 +440,7 @@ def _decompose_with_matrix(gens, variables, matrix):
                 continue  # cylinder over a smaller base: nothing to parametrize
             comp = parametrize_component(working, fu_i, variables, unames, k)
             out.components.append(comp)
-    if not out.parts and saw_constant:
-        out.empty = True
+    out.empty = not out.parts and bool(leftover)
     return out
 
 
@@ -516,19 +477,21 @@ def parametrize_component(generators, factor, variables=None, unames=None, k=Non
     # coefficients are only consistent with it at the same overall scale, so
     # normalization happens jointly at the very end
     phi = phi_full.monomial_coefficient({unames[0]: d})
-    # a projection equation that involves the weights marks an immersed sheet set
-    if any(u in phi.used_variables() for u in unames):
+    # a projection equation that involves the weights marks an immersed sheet
+    # set; it is tested first, since with_variables cannot drop a weight
+    if phi.used_variables() & set(unames):
         return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
     phi = phi.with_variables(variables)
-    if phi.is_zero or phi.degree(variables[0]) != d:
+    # so does one of the wrong degree (zero has degree -1), one involving a
+    # coordinate past x_k, or a factor not homogeneous of degree d in the
+    # weights, whose sheet set depends on them
+    weights = [phi_full.variables.index(u) for u in unames if u in phi_full.variables]
+    if (
+        phi.degree(variables[0]) != d
+        or phi.used_variables() & set(variables[k + 1 :])
+        or any(sum(e[i] for i in weights) != d for e in phi_full.num)
+    ):
         return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
-    if any(v in phi.used_variables() for v in variables[k + 1 :]):
-        return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
-    # homogeneity of degree d in the weights marks a weight-independent sheet set
-    for e in phi_full.num:
-        deg_u = sum(e[phi_full.variables.index(u)] for u in unames if u in phi_full.variables)
-        if deg_u != d:
-            return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
     phi_prime = phi.derivative(variables[0])
     params = {}
     for i in range(k + 1, len(variables)):

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from kronecker import elimination
 from kronecker.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -122,6 +123,14 @@ PINNED = [
     # the u-run's sparse Sylvester determinants take the term maps
     (["eliminate", "--", "-x - 3*y^2 + 3", "x^2 + x*z - 3*y^2"], 0, "codim 2: resolvent 3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747\n  factor: 3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747\ntotal resolvente: 3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747\n", ""),
     (["--json", "eliminate", "--", "-x - 3*y^2 + 3", "x^2 + x*z - 3*y^2"], 0, '{"components": [{"params": [{"den": "1705548*x^3 + 1207908*x^2*y + 285108*x*y^2 + 22428*y^3 + 619554*x^2 + 286962*x*y + 33228*y^2 - 1174608*x - 277704*y + 40698", "num": "-1073319*x^3*y - 758979*x^2*y^2 - 178869*x*y^3 - 14049*y^4 - 5027750*x^3 - 3814460*x^2*y - 957777*x*y^2 - 79677*y^3 + 28787720*x^2 + 14361105*x*y + 1786599*y^2 - 3019986*x - 752400*y - 970938", "var": "z"}], "phi": "426387*x^4 + 402636*x^3*y + 142554*x^2*y^2 + 22428*x*y^3 + 1323*y^4 + 206518*x^3 + 143481*x^2*y + 33228*x*y^2 + 2565*y^3 - 587304*x^2 - 277704*x*y - 32832*y^2 + 40698*x + 9747*y + 9747"}], "empty": false, "parts": [{"codim": 2, "factors": ["3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747"], "resolvent": "3072*x^4 - 26880*x^3*y + 6144*x^3*z + 88176*x^2*y^2 - 40704*x^2*y*z + 3072*x^2*z^2 - 128520*x*y^3 + 89856*x*y^2*z - 13824*x*y*z^2 + 70227*y^4 - 66096*y^3*z + 15552*y^2*z^2 + 5872*x^3 - 39480*x^2*y + 1248*x^2*z + 88479*x*y^2 - 5616*x*y*z - 66096*y^3 + 6318*y^2*z - 49680*x^2 + 217368*x*y - 49536*x*z - 237816*y^2 + 107568*y*z - 15552*z^2 + 11457*x - 24624*y + 9234*z + 9747"}]}\n', ''),
+    # empty varieties: a constant after one elimination step, and leftovers
+    # in the last variable with no common root
+    (["eliminate", "--", "x - y", "x - y - 1"], 0, "variety: empty\ntotal resolvente: 1\n", ""),
+    (["--json", "eliminate", "--", "x - y", "x - y - 1"], 0, '{"components": [], "empty": true, "parts": []}\n', ""),
+    (["eliminate", "--", "x - 1", "x - 2"], 0, "variety: empty\ntotal resolvente: 1\n", ""),
+    (["--json", "eliminate", "--", "x - 1", "x - 2"], 0, '{"components": [], "empty": true, "parts": []}\n', ""),
+    (["parametrize", "--", "x - 1", "x - 2"], 0, "no parametrizable components\n", ""),
+    (["--json", "parametrize", "--", "x - 1", "x - 2"], 0, '{"components": [], "empty": true, "parts": []}\n', ""),
     (["parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["--json", "parametrize", "--", "x*y*z*w"], 1, "", "error: at most 3 variables (got 4)\n"),
     (["parametrize", "--", "x^5 + y"], 1, "", "error: total degree capped at 4\n"),
@@ -219,6 +228,25 @@ def test_a_budget_refusal_exits_1_with_one_error_line():
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["eliminate", "parametrize"])
+def test_running_out_of_coordinate_redraws_exits_1_with_one_error_line(mode, command, capsys, monkeypatch):
+    calls = []
+
+    def degenerate(gens, variables, matrix):
+        calls.append(matrix)
+        raise elimination._Degenerate("forced")
+
+    monkeypatch.setattr(elimination, "_decompose_with_matrix", degenerate)
+    assert main([*mode, command, "--", "x^2 + y^2 - 1", "x - y"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()  # one line: no traceback
+    assert len(lines) == 1
+    assert lines[0].startswith("error: no sufficiently general coordinates found in 8 attempts")
+    assert len(calls) == elimination.MAX_RETRIES
 
 
 @pytest.mark.parametrize("command", ["galois", "resolvent"])

@@ -150,6 +150,18 @@ def test_unit_ideal_is_empty():
     assert dec.empty and not dec.parts
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        ["x - y", "x - y - 1"],  # a constant after eliminating y
+        ["x - 1", "x - 2"],  # last-variable leftovers with no common root
+    ],
+)
+def test_the_loop_leaves_generators_behind_on_an_empty_variety(system):
+    dec = decompose_variety(parse_polys(system))
+    assert dec.empty and not dec.parts
+
+
 def test_zero_ideal_is_whole_space():
     dec = decompose_variety([MultiPoly.zero(("x", "y"))])
     assert dec.whole_space

@@ -109,6 +109,42 @@ def test_the_mod_p_lint_recognises_a_dense_product():
     assert not _dense_mod_p_loop(ast.parse(source.replace(" % p", "")).body[0])
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _eliminates_in_a_loop(fn):
+    """True when fn calls eliminate_step inside a loop or comprehension."""
+    return any(
+        isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "eliminate_step"
+        for loop in ast.walk(fn)
+        if isinstance(loop, _LOOPS)
+        for call in ast.walk(loop)
+    )
+
+
+def test_one_elimination_loop():
+    # the plain and u-weighted runs are one loop on different generators:
+    # in kronecker.elimination only _skeleton eliminates variable by variable
+    tree = ast.parse((PACKAGE / "elimination.py").read_text())
+    looping = sorted(name for name, fn in _functions(tree) if _eliminates_in_a_loop(fn))
+    assert looping == ["_skeleton"], f"functions running an elimination loop: {looping}"
+
+
+def test_the_elimination_loop_lint_recognises_a_second_loop():
+    source = (
+        "def _u_run(current, variables):\n"
+        "    for k in range(len(variables) - 1, -1, -1):\n"
+        "        current = eliminate_step(current, variables[k]).generators\n"
+        "    return current\n"
+    )
+    assert _eliminates_in_a_loop(ast.parse(source).body[0])
+    assert _eliminates_in_a_loop(ast.parse(source.replace("eliminate_step", "elimination.eliminate_step")).body[0])
+    assert not _eliminates_in_a_loop(ast.parse(source.replace("eliminate_step", "_interreduce")).body[0])
+    once = "def step(current, v):\n    return eliminate_step(current, v)\n"
+    assert not _eliminates_in_a_loop(ast.parse(once).body[0])
+
+
 def _functions(tree):
     """Module-level functions by name, and methods as Class.method."""
     for node in tree.body:
