@@ -13,7 +13,8 @@ Algebra*, Alg. 15.19:
    which every coefficient of lc(f) times a monic factor obeys;
 4. recombine: for subsets S of the lifted factors, smallest first, the
    symmetric residue of lc * prod(S) is tested for exact division of
-   lc * f over Z; when every subset fails, what is left is irreducible.
+   lc * f over Z; when every subset of at most half the factors fails,
+   what is left is irreducible.
    The recombination tries at most RECOMBINATION_BUDGET = 2^16 subsets
    in all, and raises DomainError before it starts a subset size that
    could exceed it: a Swinnerton-Dyer polynomial of degree 32 (16 factors
@@ -27,13 +28,15 @@ and refuses squarefree cores above degree 12.  The tests use it as an
 independent check of the modular route.
 
 Multivariate polynomials reduce to the univariate case through Kronecker
-substitution, with factors of the image recombined over subsets and
-verified by inverse substitution and exact division (at most 16 image
-factors).  Every factorization is checked by multiplying it back out.
+substitution: the image's factors (at most 16) go through the same subset
+loop, ``_recombine``, split by inverse substitution and exact division.
+One frame, ``_factor_with``, serves both routes: content, squarefree split,
+a factor route per part, and a check that the factors multiply back out.
 """
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd, isqrt
 
 from kronecker import modp, polyring, primes
@@ -275,37 +278,50 @@ def _primitive(f):
     return [c // g for c in f]
 
 
-def _recombine(F, lifted, m):
-    """Irreducible factors over Z of the primitive F from its monic factors
-    mod m, by subsets of increasing size (Alg. 15.19, step 8)."""
+def _recombine(rest, pool, split):
+    """Irreducible factors of rest from subsets of pool, smallest first,
+    then what is left (Alg. 15.19, step 8); both routes share this loop.
+
+    ``split(rest, subset)`` returns (factor, cofactor) or None.  A hit drops
+    its subset and retries the same size.  Sizes stop at half the pool: a
+    subset and its complement give cofactors.  ``split`` is where a cheaper
+    filter (the d - 1 coefficient test) or lattice proposals plug in.
+    """
     out = []
     size = 1
     tried = 0
-    while 2 * size <= len(lifted):
-        if tried + comb(len(lifted), size) > RECOMBINATION_BUDGET:
+    while 2 * size <= len(pool):
+        if tried + comb(len(pool), size) > RECOMBINATION_BUDGET:
             raise DomainError(
-                f"recombination of {len(lifted)} modular factors would try more "
+                f"recombination of {len(pool)} modular factors would try more "
                 f"than {RECOMBINATION_BUDGET} subsets"
             )
-        b = F[-1]
-        for subset in itertools.combinations(range(len(lifted)), size):
+        for subset in itertools.combinations(range(len(pool)), size):
             tried += 1
-            g = [b % m]
-            for i in subset:
-                g = modp.mul(g, lifted[i], m)
-            g = modp.symmetric(g, m)
-            if g[0] and b * F[0] % g[0]:
-                continue  # the constant terms rule the subset out cheaply
-            q = polyring.exact_quotient([b * c for c in F], g)
-            if q is not None:
-                out.append(_primitive(g))
-                F = _primitive(q)
-                lifted = [f for i, f in enumerate(lifted) if i not in subset]
+            hit = split(rest, [pool[i] for i in subset])
+            if hit is not None:
+                factor, rest = hit
+                out.append(factor)
+                pool = [f for i, f in enumerate(pool) if i not in subset]
                 break
         else:
             size += 1
-    out.append(F)
+    out.append(rest)
     return out
+
+
+def _modular_split(m, F, subset):
+    """The primitive factor lc * prod(subset) mod m and its cofactor, when
+    its symmetric residue divides lc * F over Z."""
+    b = F[-1]
+    g = [b % m]
+    for f in subset:
+        g = modp.mul(g, f, m)
+    g = modp.symmetric(g, m)
+    if g[0] and b * F[0] % g[0]:
+        return None  # the constant terms rule the subset out cheaply
+    q = polyring.exact_quotient([b * c for c in F], g)
+    return None if q is None else (_primitive(g), _primitive(q))
 
 
 def _factor_squarefree(f):
@@ -324,47 +340,12 @@ def _factor_squarefree(f):
     while p ** (2**steps) <= 2 * bound:
         steps += 1
     lifted = _hensel_lift(F, factors, p, steps)
-    return [UniPoly(f.variable, g) for g in _recombine(F, lifted, p ** (2**steps))]
-
-
-def factor_univariate(F):
-    """Factor a univariate polynomial over Q into irreducibles, by the
-    modular route.
-
-    Accepts UniPoly or univariate MultiPoly; rational coefficients are fine,
-    the denominator folds into the unit.
-    """
-    return _factor_univariate_with(F, _factor_squarefree)
-
-
-def _factor_univariate_with(F, split):
-    """factor_univariate with ``split`` factoring each primitive squarefree
-    part; the tests pass ``_factor_squarefree_interpolation`` as an oracle."""
-    if isinstance(F, MultiPoly):
-        F = UniPoly.from_multipoly(F)
-    if F.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
-    unit, prim = F.content_primitive()
-    if prim.degree == 0:
-        return Factorization(unit, [])
-    pieces = []
-    for sqf, mult in _sqf_split_multi(prim.to_multipoly(), F.variable):
-        sqf = UniPoly.from_multipoly(sqf, F.variable).content_primitive()[1]
-        for g in split(sqf):
-            pieces.append((g, mult))
-    # account for signs/contents produced by the splits
-    rebuilt = UniPoly(F.variable, [1])
-    for g, m in pieces:
-        rebuilt = rebuilt * g**m
-    unit = F.lc() / rebuilt.lc()
-    out = Factorization(unit, [(g.to_multipoly(), m) for g, m in pieces])
-    if UniPoly.from_multipoly(out.expand(), F.variable) != F:
-        raise AlgebraError("factors do not multiply back to the input")
-    return out
+    split = partial(_modular_split, p ** (2**steps))
+    return [UniPoly(f.variable, g) for g in _recombine(F, lifted, split)]
 
 
 # ---------------------------------------------------------------------------
-# multivariate via Kronecker substitution
+# multivariate via Kronecker substitution, and the frame both routes share
 # ---------------------------------------------------------------------------
 
 
@@ -387,91 +368,84 @@ def _sqf_split_multi(f, name):
     return out
 
 
+def _substitution_split(codec, remaining, subset):
+    """The primitive preimage of prod(subset) and its primitive cofactor,
+    when the preimage divides remaining."""
+    prod = subset[0]
+    for u in subset[1:]:
+        prod = prod * u
+    cand = content_primitive(polyring.kronecker_inverse(prod, codec))[1]
+    quo = remaining.div_exact(cand)
+    return None if quo is None else (cand, content_primitive(quo)[1])
+
+
 def _factor_squarefree_multi(f):
     """Irreducible factors of a primitive squarefree multivariate polynomial
     in >= 2 variables, by Kronecker substitution and subset recombination."""
     g = 1 + max(f.degree(v) for v in f.used_variables())
     reduced = f.with_variables(sorted(f.used_variables()))
     image, codec = polyring.kronecker_substitute(reduced, g)
-    img_fact = factor_univariate(image)
     pool = []
-    for poly, mult in img_fact.factors:
+    for poly, mult in factor_univariate(image).factors:
         pool.extend([UniPoly.from_multipoly(poly, image.variable)] * mult)
     if len(pool) > IMAGE_FACTOR_CAP:
         raise DomainError(
             f"Kronecker recombination is limited to {IMAGE_FACTOR_CAP} image factors"
         )
-    factors = []
-    remaining = f
-    indices = list(range(len(pool)))
-    size = 1
-    while indices and remaining.total_degree() >= 1:
-        if size >= len(indices):
-            factors.append(content_primitive(remaining)[1])
-            break
-        hit = None
-        for combo in itertools.combinations(indices, size):
-            prod = UniPoly(image.variable, [1])
-            for i in combo:
-                prod = prod * pool[i]
-            cand = content_primitive(polyring.kronecker_inverse(prod, codec))[1]
-            if cand.total_degree() < 1:
-                continue
-            quo = remaining.div_exact(cand)
-            if quo is not None:
-                hit = (combo, cand, quo)
-                break
-        if hit is None:
-            size += 1
-            continue
-        combo, cand, quo = hit
-        factors.append(cand)
-        remaining = quo
-        indices = [i for i in indices if i not in combo]
-        # factors smaller than the current size are already exhausted
-    else:
-        if remaining.total_degree() >= 1:
-            factors.append(content_primitive(remaining)[1])
-    return factors
+    return _recombine(f, pool, partial(_substitution_split, codec))
+
+
+def _factor_with(F, split):
+    """Factor a UniPoly or MultiPoly over Q: the content in the first used
+    variable recursively, then each squarefree part in that variable, by
+    ``split`` when univariate (the tests pass the interpolation search as an
+    oracle) and by Kronecker substitution otherwise.  Graded lex is a
+    monomial order, so lc(F) = unit * prod(lc(g)^m) in F's variable order.
+    """
+    if F.is_zero:
+        raise DomainError("cannot factor the zero polynomial")
+    P = F.to_multipoly() if isinstance(F, UniPoly) else F
+    used = sorted(P.used_variables())
+    if not used:
+        return Factorization(P.constant_value(), [])
+    name = used[0]
+    prim = content_primitive(P)[1]
+    pieces = []
+    if len(used) > 1:
+        cont = polyring._content_in(prim, name)
+        if cont.total_degree() >= 1:
+            pieces.extend(_factor_with(cont, split).factors)
+        prim = prim.div_exact(cont)
+    for sqf, mult in _sqf_split_multi(prim, name):
+        if len(sqf.used_variables()) == 1:
+            sqf = UniPoly.from_multipoly(sqf, name).content_primitive()[1]
+            pieces.extend((g.to_multipoly(), mult) for g in split(sqf))
+        else:
+            pieces.extend((g, mult) for g in _factor_squarefree_multi(content_primitive(sqf)[1]))
+    unit = P.lc()
+    for g, m in pieces:
+        unit /= g.with_variables(P.variables).lc() ** m
+    out = Factorization(unit, pieces)
+    if out.expand() != P:
+        raise AlgebraError("factors do not multiply back to the input")
+    return out
+
+
+def factor_univariate(F):
+    """Factor a univariate polynomial over Q into irreducibles, by the
+    modular route.
+
+    Accepts UniPoly or univariate MultiPoly; rational coefficients are fine,
+    the denominator folds into the unit.
+    """
+    if isinstance(F, MultiPoly):
+        F = UniPoly.from_multipoly(F)
+    return _factor_with(F, _factor_squarefree)
 
 
 def factor_multivariate(F):
     """Factor a MultiPoly over Q into irreducibles."""
-    if F.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
-    if F.is_constant:
-        return Factorization(F.constant_value(), [])
-    used = sorted(F.used_variables())
-    if len(used) == 1:
-        return factor_univariate(F)
-    unit, prim = content_primitive(F)
-    name = used[0]
-    pieces = []
-    # split off the part free of the chosen variable, then squarefree-split
-    cont = polyring._content_in(prim, name)
-    pp = prim.div_exact(cont)
-    if cont.total_degree() >= 1:
-        sub = factor_multivariate(cont)
-        unit *= sub.unit
-        pieces.extend(sub.factors)
-    else:
-        unit *= cont.constant_value()
-    for sqf, mult in _sqf_split_multi(pp, name):
-        sqf = content_primitive(sqf)[1]
-        if len(sqf.used_variables()) == 1:
-            sub = factor_univariate(sqf)
-            pieces.extend((f, m * mult) for f, m in sub.factors)
-        else:
-            for g in _factor_squarefree_multi(sqf):
-                pieces.append((g, mult))
-    rebuilt = MultiPoly.const(1, F.variables)
-    for g, m in pieces:
-        rebuilt = rebuilt * g**m
-    quo = F.div_exact(rebuilt)
-    if quo is None or not quo.is_constant:
-        raise AlgebraError("re-expansion must recover the input")
-    out = Factorization(quo.constant_value(), pieces)
-    return out
+    return _factor_with(F, _factor_squarefree)
 
 
 def factor(F):
@@ -485,13 +459,8 @@ def factor(F):
 
 def is_irreducible(F):
     """True when F is irreducible over Q (positive degree required)."""
-    if isinstance(F, MultiPoly):
-        fact = factor_multivariate(F)
-    else:
-        fact = factor_univariate(F)
-    return len(fact.factors) == 1 and fact.factors[0][1] == 1 and (
-        fact.factors[0][0].total_degree() >= 1
-    )
+    fact = _factor_with(F, _factor_squarefree)
+    return len(fact.factors) == 1 and fact.factors[0][1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from kronecker import factorization
+from kronecker import factorization, polyring
 from kronecker.cli import main
-from kronecker.errors import DomainError
+from kronecker.errors import AlgebraError, DomainError
 from kronecker.factorization import (
     _factor_squarefree_interpolation,
-    _factor_univariate_with,
+    _factor_with,
     factor,
     factor_mod_p,
     factor_multivariate,
@@ -107,6 +107,56 @@ def test_multivariate_with_content():
 def test_multivariate_square():
     fact = factor_multivariate(parse_poly("x^2 - 2*x*y + y^2"))
     assert _multiset(fact) == [("x - y", 2)]
+
+
+def test_factor_univariate_refuses_a_bivariate_input():
+    with pytest.raises(AlgebraError, match="not univariate"):
+        factor_univariate(parse_poly("x*y"))
+
+
+def test_the_kronecker_route_stops_at_half_its_pool(monkeypatch):
+    # x^4 + y^4 has 5 image factors: a subset and its complement give
+    # cofactors, so sizes 1 and 2 (15 subsets) decide irreducibility
+    calls = []
+    inverse = polyring.kronecker_inverse
+    monkeypatch.setattr(polyring, "kronecker_inverse", lambda u, codec: calls.append(u) or inverse(u, codec))
+    fact = factor_multivariate(parse_poly("x^4 + y^4"))
+    assert _multiset(fact) == [("x^4 + y^4", 1)]
+    assert 0 < len(calls) <= 15
+
+
+@pytest.mark.parametrize(
+    ("text", "searched"),
+    [
+        # x^2 - 2 shares its multiplicity with x*y + 1, so it is split out
+        # of their squarefree part by Kronecker substitution
+        ("3*(x^2 - 2)*(y^3 + y + 1)*(x*y + 1)", ["y^3 + y + 1"]),
+        ("-2*(y - 2)*(x^3 - x - 1)^2*(y*x - 1)", ["x^3 - x - 1", "y - 2"]),
+        ("1/2*(x - 1)^2*(y^2 - 2)*(x^2*y - 3)", ["x - 1", "y^2 - 2"]),
+        ("5*(x^2 + 1)*(x + y)^2*(y^2 - y - 1)*(x*y^2 + x + 1)", ["y^2 - y - 1"]),
+        # first appearance orders y before x, the Kronecker factors use x, y:
+        # 2*y + 3*x has leading coefficient 2 in the input's order, 3 in its own
+        ("-(2*y + 3*x)*(y - x^2)*(x + 1)^2", ["x + 1"]),
+    ],
+)
+def test_the_interpolation_oracle_reaches_content_and_univariate_parts(text, searched):
+    # the frame is shared, so the oracle route factors the content in x and
+    # the univariate squarefree parts by the interpolation search; only the
+    # parts in both variables take Kronecker substitution
+    F = parse_poly(text)
+    found = []
+
+    def search_split(f):
+        factors = _factor_squarefree_interpolation(f)
+        found.extend(str(g) for g in factors)
+        return factors
+
+    search = _factor_with(F, search_split)
+    modular = factor_multivariate(F)
+    assert _multiset(search) == _multiset(modular)
+    assert search.unit == modular.unit
+    assert search.expand() == F
+    assert sorted(found) == searched
 
 
 def test_expansion_identity_random():
@@ -352,7 +402,7 @@ def test_random_products_agree_with_the_interpolation_search():
         for g in parts:
             F = F * g
         modular = factor_univariate(F)
-        search = _factor_univariate_with(F, _factor_squarefree_interpolation)
+        search = _factor_with(F, _factor_squarefree_interpolation)
         assert _multiset(modular) == _multiset(search), str(F)
         assert modular.unit == search.unit
 

@@ -145,6 +145,39 @@ def test_the_elimination_loop_lint_recognises_a_second_loop():
     assert not _eliminates_in_a_loop(ast.parse(once).body[0])
 
 
+def _calls(fn, name):
+    """True when fn calls a function called name, plainly or as an attribute."""
+    return any(
+        isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+        for call in ast.walk(fn)
+    )
+
+
+def test_one_factoring_frame_and_one_recombination():
+    # the univariate and Kronecker-substitution routes share one frame and
+    # one subset loop: in kronecker.factorization only _recombine draws
+    # subsets and only _factor_with splits squarefree
+    tree = ast.parse((PACKAGE / "factorization.py").read_text())
+    for callee, owner in (("combinations", "_recombine"), ("_sqf_split_multi", "_factor_with")):
+        callers = sorted(name for name, fn in _functions(tree) if _calls(fn, callee))
+        assert callers == [owner], f"functions calling {callee}: {callers}"
+
+
+def test_the_factoring_lint_recognises_a_second_loop():
+    source = (
+        "def _kronecker_loop(remaining, pool, size):\n"
+        "    for combo in itertools.combinations(range(len(pool)), size):\n"
+        "        quo = remaining.div_exact(_inverse(combo))\n"
+        "        if quo is not None:\n"
+        "            return combo, quo\n"
+    )
+    assert _calls(ast.parse(source).body[0], "combinations")
+    assert _calls(ast.parse(source.replace("itertools.combinations", "combinations")).body[0], "combinations")
+    assert not _calls(ast.parse(source.replace("itertools.combinations", "_recombine")).body[0], "combinations")
+    frame = "def _factor_parts(f, name):\n    return [g for g, _ in _sqf_split_multi(f, name)]\n"
+    assert _calls(ast.parse(frame).body[0], "_sqf_split_multi")
+
+
 def _functions(tree):
     """Module-level functions by name, and methods as Class.method."""
     for node in tree.body:
