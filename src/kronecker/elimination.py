@@ -356,12 +356,7 @@ def decompose_variety(generators, config=None):
     index that order."""
     config = config or EliminationConfig()
     gens = [g for g in generators if not g.is_zero]
-    variables = []
-    for g in generators:
-        for v in g.variables:
-            if v not in variables:
-                variables.append(v)
-    variables = tuple(variables)
+    variables = polyring.union_variables(generators)
     if len(variables) > config.max_vars:
         raise DomainError(f"at most {config.max_vars} variables (got {len(variables)})")
     for g in gens:
@@ -444,30 +439,24 @@ def _decompose_with_matrix(gens, variables, matrix):
     return out
 
 
-def parametrize_component(generators, factor, variables=None, unames=None, k=None):
+def parametrize_component(generators, factor, variables, unames, k):
     """Extract the projection equation and the dependent-coordinate
     parametrization from one irreducible factor of the u-weighted resolvent.
 
-    The factor arrives as a polynomial in the fiber combination X_, the
-    weights u_i and the free coordinates; substituting X_ = u_0 x_0 + ... and
-    reading off the u_0^d and u_i u_0^(d-1) coefficients yields phi and the
-    pairs (phi', phi_i) with x_i = phi_i/phi' on the component.  Components
-    whose sheets depend on the weights (immersed varieties) are flagged.
+    The names come from _decompose_with_matrix: variables are the working
+    coordinates x_0, x_1, ..., unames the weights u_i, one per coordinate,
+    and k the dimension of the component's part, so that phi lies in
+    x_0, ..., x_k and the later coordinates are parametrized.  The factor
+    arrives as a polynomial in the fiber combination X_, the weights and
+    the free coordinates; substituting X_ = u_0 x_0 + ... and reading off
+    the u_0^d and u_i u_0^(d-1) coefficients yields phi and the pairs
+    (phi', phi_i) with x_i = phi_i/phi' on the component.  Components whose
+    sheets depend on the weights (immersed varieties), and those whose
+    parametrization does not make every generator vanish, are flagged.
     """
-    if variables is None:
-        variables = tuple(
-            v for v in factor.variables if not v.startswith("u") and v != _X
-        )
-    if unames is None:
-        unames = tuple(u for u in factor.variables if u.startswith("u"))
     d = factor.degree(_X)
     if d <= 0:
         raise DomainError("factor does not involve the fiber combination")
-    if k is None:
-        k = max(
-            (i for i in range(1, len(variables)) if variables[i] in factor.used_variables()),
-            default=0,
-        )
     x = MultiPoly.zero(())
     for i, v in enumerate(variables):
         x = x + MultiPoly.var(unames[i], (unames[i],)) * MultiPoly.var(v, (v,))
@@ -476,7 +465,9 @@ def parametrize_component(generators, factor, variables=None, unames=None, k=Non
     # the u_0^d coefficient is the projection equation; the u_i u_0^(d-1)
     # coefficients are only consistent with it at the same overall scale, so
     # normalization happens jointly at the very end
-    phi = phi_full.monomial_coefficient({unames[0]: d})
+    zero = MultiPoly.zero(phi_full.variables)
+    by_u0 = phi_full.coeffs_in(unames[0])
+    phi = by_u0.get(d, zero)
     # a projection equation that involves the weights marks an immersed sheet
     # set; it is tested first, since with_variables cannot drop a weight
     if phi.used_variables() & set(unames):
@@ -496,9 +487,7 @@ def parametrize_component(generators, factor, variables=None, unames=None, k=Non
     params = {}
     for i in range(k + 1, len(variables)):
         v = variables[i]
-        c = phi_full.monomial_coefficient({unames[i]: 1, unames[0]: d - 1}).with_variables(
-            variables
-        )
+        c = by_u0.get(d - 1, zero).coeffs_in(unames[i]).get(1, zero).with_variables(variables)
         num = MultiPoly.var(v, variables) * phi_prime - c
         if v in num.used_variables():
             return ComponentParam(codim, d, phi, phi_prime, {}, immersed=True)
@@ -508,7 +497,7 @@ def parametrize_component(generators, factor, variables=None, unames=None, k=Non
     phi_prime = phi_prime * (1 / scale)
     params = {v: num * (1 / scale) for v, num in params.items()}
     comp = ComponentParam(codim, d, phi, phi_prime, params)
-    if generators and not _verify_parametrization(generators, comp, variables):
+    if not _verify_parametrization(generators, comp, variables):
         comp.immersed = True
     return comp
 

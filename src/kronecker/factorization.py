@@ -68,9 +68,6 @@ class Factorization:
             out = out * f**m
         return out
 
-    def factor_multiset(self):
-        return sorted((str(f), m) for f, m in self.factors)
-
     def __str__(self):
         if not self.factors:
             return str(self.unit)
@@ -452,8 +449,6 @@ def factor(F):
     """Factor a polynomial or an expression string."""
     if isinstance(F, str):
         F = parse_poly(F)
-    if isinstance(F, UniPoly):
-        return factor_univariate(F)
     return factor_multivariate(F)
 
 

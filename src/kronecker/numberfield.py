@@ -5,10 +5,12 @@ are vectors in the power basis 1, theta, ..., theta^(n-1).  An element is
 carried as one integer vector ``num`` over one positive integer denominator
 ``den``, normalised so that gcd(den, *num) = 1, with zero stored as den = 1
 (Cohen, A Course in Computational Algebraic Number Theory, §4.2).  Sums and
-products run on integers: the defining polynomial is monic with integer
-coefficients, so the table that reduces theta^n, theta^(n+1), ... to the
-power basis is integral.  Rational coordinates appear only at the API edge,
-through ``AlgNum.coords``.
+products are polyring.UniPoly's, on the element read as a polynomial in
+theta, reduced by the field's power table: the defining polynomial is monic
+with integer coefficients, so the table that reduces theta^n,
+theta^(n+1), ... to the power basis is integral, and everything runs on
+integers.  Rational coordinates appear only at the API edge, through
+``AlgNum.coords``.
 
 Integrality: theta is an algebraic integer, so Z[theta] lies in the ring of
 integers, and an element with den = 1 is integral.  Every other element is
@@ -18,7 +20,6 @@ embeddings.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from kronecker import linalg
 from kronecker.errors import AlgebraError, DomainError
@@ -39,7 +40,7 @@ def _make(field, num, den):
 class NumberField:
     """Q[x]/(minpoly) with the order Z[theta]; minpoly monic irreducible."""
 
-    def __init__(self, minpoly, check_irreducible=True):
+    def __init__(self, minpoly):
         if isinstance(minpoly, str):
             minpoly = UniPoly.from_multipoly(parse_poly(minpoly))
         if isinstance(minpoly, MultiPoly):
@@ -50,7 +51,7 @@ class NumberField:
             raise DomainError("defining polynomial must be monic")
         if not minpoly.has_integer_coeffs():
             raise DomainError("defining polynomial must have integer coefficients")
-        if check_irreducible and minpoly.degree > 1 and not is_irreducible(minpoly):
+        if minpoly.degree > 1 and not is_irreducible(minpoly):
             raise DomainError("not a genus-defining equation: polynomial is reducible")
         self.minpoly = minpoly
         self.degree = minpoly.degree
@@ -165,14 +166,6 @@ class AlgNum:
     def __bool__(self):
         return any(self.num)
 
-    def is_rational(self):
-        return not any(self.num[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise AlgebraError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.element([other])
@@ -187,14 +180,12 @@ class AlgNum:
     def __hash__(self):
         return hash((self.field, self.num, self.den))
 
+    def _poly(self):
+        """The element as a UniPoly in theta, of degree below n."""
+        return UniPoly(self.field.minpoly.variable, self.num, self.den)
+
     def __add__(self, other):
-        other = self._lift(other)
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        sa, sb = db // g, da // g
-        return _make(
-            self.field, [a * sa + b * sb for a, b in zip(self.num, other.num)], da * sa
-        )
+        return self.field.from_int_poly(self._poly() + self._lift(other)._poly())
 
     __radd__ = __add__
 
@@ -208,21 +199,9 @@ class AlgNum:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _make(self.field, [a * other for a in self.num], self.den)
-        if isinstance(other, Fraction):
-            return _make(
-                self.field,
-                [a * other.numerator for a in self.num],
-                self.den * other.denominator,
-            )
-        other = self._lift(other)
-        prod = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num, i):
-                    prod[j] += a * b
-        return self.field._reduce(prod, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            other = self._lift(other)._poly()
+        return self.field.from_int_poly(self._poly() * other)
 
     __rmul__ = __mul__
 
@@ -235,8 +214,7 @@ class AlgNum:
         """Multiplicative inverse via the extended Euclid algorithm."""
         if self.is_zero:
             raise ZeroDivisionError("division by zero in the number field")
-        minpoly = self.field.minpoly
-        return self.field.from_int_poly(UniPoly(minpoly.variable, self.num, self.den).inverse_mod(minpoly))
+        return self.field.from_int_poly(self._poly().inverse_mod(self.field.minpoly))
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()

@@ -9,7 +9,8 @@ in Computational Algebraic Number Theory, §4.2).
   term map ``num`` from exponent tuples to nonzero ints over ``den``.
 - UniPoly, the one-variable dense case: the int tuple ``num`` from the
   constant term up, with no trailing zero, over ``den``.
-- numberfield.AlgNum: the int vector of power-basis coordinates over ``den``.
+- numberfield.AlgNum: the int vector of power-basis coordinates over ``den``;
+  its sums and products are UniPoly's, reduced by the field's power table.
 
 So the term kernels, products, exact and long division run on integers.
 Fractions appear only at the API edge: the constructors take ints and
@@ -162,6 +163,16 @@ def power(base, k, one):
     return out
 
 
+def union_variables(polys):
+    """The variable names of polys, in order of first appearance."""
+    merged = []
+    for p in polys:
+        for v in p.variables:
+            if v not in merged:
+                merged.append(v)
+    return tuple(merged)
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients:
     the integer term map num over the positive integer den."""
@@ -296,10 +307,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             if other.variables == self.variables:
                 return self, other
-            merged = list(self.variables)
-            for v in other.variables:
-                if v not in merged:
-                    merged.append(v)
+            merged = union_variables((self, other))
             return self.with_variables(merged), other.with_variables(merged)
         return self, MultiPoly.const(other, self.variables)
 
@@ -382,18 +390,11 @@ class MultiPoly:
         Substituted variables remain in the variable tuple (with exponent 0)
         so repeated substitutions compose predictably.
         """
-        target_vars = list(self.variables)
         values = {}
         for name, val in assignment.items():
-            if name not in self.variables:
-                continue
-            if not isinstance(val, MultiPoly):
-                val = MultiPoly.const(val, ())
-            values[name] = val
-            for v in val.variables:
-                if v not in target_vars:
-                    target_vars.append(v)
-        target = tuple(target_vars)
+            if name in self.variables:
+                values[name] = val if isinstance(val, MultiPoly) else MultiPoly.const(val, ())
+        target = union_variables((self, *values.values()))
         origin = (0,) * len(target)
         power_cache = {}
         result = MultiPoly.zero(target)
@@ -449,18 +450,6 @@ class MultiPoly:
             ne[i] = 0
             out.setdefault(k, {})[tuple(ne)] = c
         return {k: MultiPoly.from_ints(self.variables, t, self.den) for k, t in out.items()}
-
-    def monomial_coefficient(self, name_powers):
-        """Coefficient (a MultiPoly) of a product of variable powers."""
-        fixed = {self.variables.index(n): k for n, k in name_powers.items()}
-        num = {}
-        for e, c in self.num.items():
-            if all(e[i] == k for i, k in fixed.items()):
-                ne = list(e)
-                for i in fixed:
-                    ne[i] = 0
-                num[tuple(ne)] = c
-        return MultiPoly.from_ints(self.variables, num, self.den)
 
     # -- exact division -------------------------------------------------------
 
@@ -714,7 +703,7 @@ class UniPoly:
 
     def gcd(self, other):
         """Monic gcd over Q."""
-        g = gcd(self.to_multipoly(), other.shift_ring(self.variable).to_multipoly())
+        g = gcd(self.to_multipoly(), UniPoly(self.variable, other.num, other.den).to_multipoly())
         return UniPoly.from_multipoly(g, self.variable).monic()
 
     def inverse_mod(self, f):
@@ -744,9 +733,6 @@ class UniPoly:
         if self.num[-1] < 0:
             g = -g
         return Fraction(g, self.den), UniPoly(self.variable, [c // g for c in self.num])
-
-    def shift_ring(self, variable):
-        return UniPoly(variable, self.num, self.den)
 
     def __str__(self):
         return str(self.to_multipoly())
@@ -898,9 +884,7 @@ def parse_poly(text, variables="infer"):
 def parse_polys(texts):
     """Parse several expressions over one shared first-appearance variable order."""
     polys = [parse_poly(t) for t in texts]
-    merged = []
-    for p in polys:
-        merged.extend(v for v in p.variables if v not in merged)
+    merged = union_variables(polys)
     return [p.with_variables(merged) for p in polys]
 
 
@@ -1173,11 +1157,7 @@ def poly_matrix_det(rows):
         return MultiPoly.const(1)
     if n == 1:
         return rows[0][0]
-    variables = list(rows[0][0].variables)
-    for row in rows:
-        for a in row:
-            variables.extend(v for v in a.variables if v not in variables)
-    variables = tuple(variables)
+    variables = union_variables(a for row in rows for a in row)
     m = [[a if a.variables == variables else a.with_variables(variables) for a in row] for row in rows]
     spans = [1 + sum(max((e[v] for a in row for e in a.num), default=0) for row in m) for v in range(len(variables))]
     slots = prod(spans)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from kronecker.errors import AlgebraError, DomainError
 from kronecker.factorization import _extract_integer_roots
-from kronecker.polyring import MultiPoly, UniPoly, poly_matrix_det
+from kronecker.polyring import MultiPoly, UniPoly, poly_matrix_det, union_variables
 
 _ZERO = Fraction(0)
 
@@ -35,12 +35,7 @@ class PointSet:
     def __init__(self, system, points):
         if not system:
             raise DomainError("empty system")
-        variables = []
-        for f in system:
-            for v in f.variables:
-                if v not in variables:
-                    variables.append(v)
-        self.variables = tuple(variables)
+        self.variables = union_variables(system)
         self.system = [f.with_variables(self.variables) for f in system]
         n = len(self.system)
         if len(self.variables) != n:
@@ -64,10 +59,6 @@ class PointSet:
                     raise DomainError(f"point {pt} is not a solution of the system")
             if not self.jacobian.eval_at(pt):
                 raise DomainError(f"Jacobian vanishes at {pt}: point is not simple")
-
-    def jacobian_degree(self):
-        """Generic value sum(deg F_i) - n; compared against the actual degree."""
-        return sum(f.total_degree() for f in self.system) - len(self.system)
 
     def check_product_grid(self):
         """When each equation is univariate in its own variable, verify the

@@ -188,6 +188,20 @@ def test_point_pair_parametrization():
     assert comp.params["y"] == parse_poly("4", ["x", "y"])  # y = 4/(2x) = 2/x
 
 
+
+def test_parametrization_is_certified_even_without_generators(monkeypatch):
+    from kronecker import elimination
+
+    calls = []
+    run = elimination.parametrize_component
+    monkeypatch.setattr(elimination, "parametrize_component", lambda *args: calls.append(args) or run(*args))
+    decompose_variety(parse_polys(["x^2-2", "y-x"]))
+    _, factor, variables, unames, k = calls[0]
+    assert not run([], factor, variables, unames, k).immersed
+    # a failing certificate marks the component, generators or none
+    monkeypatch.setattr(elimination, "_verify_parametrization", lambda *args: False)
+    assert run([], factor, variables, unames, k).immersed
+
 def test_parabola_projection_equation():
     dec = decompose_variety(parse_polys(["y - x^2"]))
     comp = next(c for c in dec.components if not c.immersed)

@@ -178,6 +178,136 @@ def test_the_factoring_lint_recognises_a_second_loop():
     assert _calls(ast.parse(frame).body[0], "_sqf_split_multi")
 
 
+def _unions_variables_by_hand(fn):
+    """True when fn takes names from a ``.variables`` tuple and tests
+    ``v not in L`` against a list L that it appends to or extends: a
+    hand-written first-appearance union of variable orders."""
+    reads = any(
+        isinstance(n, (ast.For, ast.comprehension)) and isinstance(n.iter, ast.Attribute) and n.iter.attr == "variables"
+        for n in ast.walk(fn)
+    )
+    grown = {
+        n.func.value.id
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("append", "extend")
+        and isinstance(n.func.value, ast.Name)
+    }
+    tested = {
+        n.comparators[0].id
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.NotIn) and isinstance(n.comparators[0], ast.Name)
+    }
+    return reads and bool(grown & tested)
+
+
+def test_one_variable_order_union():
+    # every first-appearance merge of variable orders is polyring.union_variables
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _unions_variables_by_hand(fn)
+                and not (path.name == "polyring.py" and fn.name == "union_variables")
+            ):
+                found.append(f"{path.relative_to(PACKAGE)}:{fn.lineno} {fn.name}")
+    assert not found, f"hand-written unions of variable orders: {found}"
+
+
+def test_the_union_lint_recognises_a_hand_loop():
+    loop = (
+        "def _align(self, other):\n"
+        "    merged = list(self.variables)\n"
+        "    for v in other.variables:\n"
+        "        if v not in merged:\n"
+        "            merged.append(v)\n"
+        "    return merged\n"
+    )
+    assert _unions_variables_by_hand(ast.parse(loop).body[0])
+    extend = (
+        "def parse_polys(polys):\n"
+        "    merged = []\n"
+        "    for p in polys:\n"
+        "        merged.extend(v for v in p.variables if v not in merged)\n"
+        "    return merged\n"
+    )
+    assert _unions_variables_by_hand(ast.parse(extend).body[0])
+    # deduping polynomials, as elimination._interreduce does, is no union
+    dedupe = (
+        "def _interreduce(gens):\n"
+        "    norm = []\n"
+        "    for g in gens:\n"
+        "        p = normalize_primitive(g)\n"
+        "        if p not in norm:\n"
+        "            norm.append(p)\n"
+        "    return norm\n"
+    )
+    assert not _unions_variables_by_hand(ast.parse(dedupe).body[0])
+
+
+def _writes_a_dense_product(fn):
+    """True when fn runs ``for j, b in enumerate(..., i)`` and adds into
+    X[j] in its body: the shape of a dense polynomial product."""
+    for loop in ast.walk(fn):
+        if not (
+            isinstance(loop, ast.For)
+            and isinstance(loop.iter, ast.Call)
+            and getattr(loop.iter.func, "id", None) == "enumerate"
+            and len(loop.iter.args) + len(loop.iter.keywords) == 2
+            and isinstance(loop.target, ast.Tuple)
+            and isinstance(loop.target.elts[0], ast.Name)
+        ):
+            continue
+        j = loop.target.elts[0].id
+        if any(
+            isinstance(n, ast.AugAssign)
+            and isinstance(n.target, ast.Subscript)
+            and getattr(n.target.slice, "id", None) == j
+            for stmt in loop.body
+            for n in ast.walk(stmt)
+        ):
+            return True
+    return False
+
+
+def test_number_field_products_are_unipoly_products():
+    # AlgNum's sums and products are UniPoly's, reduced by the power table:
+    # numberfield.py writes no dense product of its own
+    tree = ast.parse((PACKAGE / "numberfield.py").read_text())
+    found = sorted(name for name, fn in _functions(tree) if _writes_a_dense_product(fn))
+    assert not found, f"dense products in numberfield.py: {found}"
+    polyring = ast.parse((PACKAGE / "polyring.py").read_text())
+    products = sorted(name for name, fn in _functions(polyring) if _writes_a_dense_product(fn))
+    assert "UniPoly.__mul__" in products, products
+
+
+def test_the_dense_product_lint_recognises_a_convolution():
+    product = (
+        "def __mul__(self, other):\n"
+        "    prod = [0] * (2 * self.field.degree - 1)\n"
+        "    for i, a in enumerate(self.num):\n"
+        "        if a:\n"
+        "            for j, b in enumerate(other.num, i):\n"
+        "                prod[j] += a * b\n"
+        "    return prod\n"
+    )
+    assert _writes_a_dense_product(ast.parse(product).body[0])
+    assert _writes_a_dense_product(ast.parse(product.replace("other.num, i)", "other.num, start=i)")).body[0])
+    # the power-table reduction adds rows into the first n coordinates
+    reduce = (
+        "def _reduce(self, num, den):\n"
+        "    out = num[:n]\n"
+        "    for c, row in zip(num[n:], self._power_rows(len(num) - n)):\n"
+        "        if c:\n"
+        "            for i, r in enumerate(row):\n"
+        "                out[i] += c * r\n"
+        "    return out\n"
+    )
+    assert not _writes_a_dense_product(ast.parse(reduce).body[0])
+
+
 def _functions(tree):
     """Module-level functions by name, and methods as Class.method."""
     for node in tree.body:
