@@ -19,13 +19,11 @@ resultant lc(g)^(m-n) Res(g, h) (see eliminate_step); three or more
 generators keep the weights.
 
 Component parametrization follows the classical extraction from the
-u-weighted resolvent: writing the fiber coordinate as
-x = u_0 x0 + u_1 x1 + ... and rerunning the same loop on the substituted
-generators, an irreducible factor of the u-resolvent of degree d carries
-the projection equation as its u_0^d coefficient, and the coefficient of
-u_i u_0^(d-1) has the shape x_i * phi' - phi_i with phi' the derivative of
-the projection equation, so each dependent coordinate is recovered as
-phi_i / phi'.
+u-weighted resolvent: rerunning the same loop with x0 replaced by the fiber
+combination X = u_0 x0 + u_1 x1 + ..., an irreducible factor F of the
+u-resolvent, homogeneous of degree d in (X, u), gives the projection
+equation phi = F(x0, e_0) at e_0 = (1, 0, ..., 0), and each dependent
+coordinate as x_i = phi_i / phi' with phi_i = -dF/du_i(x0, e_0).
 
 Coordinates: the first attempt uses the input coordinates unchanged; when a
 degeneracy is detected (a resolvent not involving the fiber coordinate, a
@@ -284,28 +282,33 @@ def _squarefree_factors(poly):
     return normalize_primitive(sq), sorted(factors, key=lambda f: (f.total_degree(), str(f)))
 
 
+def _cleared_subs(g, v, num, den):
+    """g with v replaced by num/den, times den^(deg_v g): the sum of
+    c_k * num^k * den^(d-k) over the coefficients c_k of v^k in g.  A g
+    free of v comes back as itself, variable tuple and all."""
+    d = g.degree(v)
+    if d <= 0:
+        return g
+    total = MultiPoly.zero(())
+    for k, c in g.coeffs_in(v).items():
+        total = total + c * num**k * den ** (d - k)
+    return total
+
+
 def _u_substituted(gens, variables, unames):
     """Generators with x0 replaced by (X - u_1 x_1 - ... )/u_0, cleared."""
-    x0 = variables[0]
-    u0 = MultiPoly.var(unames[0], (unames[0],))
     repl = MultiPoly.var(_X, (_X,))
-    for i in range(1, len(variables)):
-        repl = repl - MultiPoly.var(unames[i], (unames[i],)) * MultiPoly.var(
-            variables[i], (variables[i],)
-        )
-    out = []
-    for g in gens:
-        d = g.degree(x0)
-        if d <= 0:
-            out.append(g)
-            continue
-        # g(x0, ...) * u0^d with x0 -> repl/u0, cleared of denominators
-        buckets = g.coeffs_in(x0)
-        total = MultiPoly.zero(())
-        for k, c in buckets.items():
-            total = total + c * repl**k * u0 ** (d - k)
-        out.append(total)
-    return out
+    for u, v in zip(unames[1:], variables[1:]):
+        repl = repl - MultiPoly.var(u, (u,)) * MultiPoly.var(v, (v,))
+    u0 = MultiPoly.var(unames[0], (unames[0],))
+    return [_cleared_subs(g, variables[0], repl, u0) for g in gens]
+
+
+def _at_e0(p, variables, unames):
+    """p at X_ = x_0 and u = e_0 = (1, 0, ..., 0), over the working
+    coordinates: a u-resolvent's value at the first weight vector."""
+    point = {unames[0]: 1, **{u: 0 for u in unames[1:]}, _X: MultiPoly.var(variables[0], variables)}
+    return p.subs(point).with_variables(variables)
 
 
 def _strip_u_content(p, unames):
@@ -407,8 +410,7 @@ def _decompose_with_matrix(gens, variables, matrix):
             raise _Degenerate(
                 f"codimension-{codim} resolvent does not involve the fiber coordinate"
             )
-        spec = fu.subs({unames[0]: 1, **{u: 0 for u in unames[1:]}, _X: MultiPoly.var(variables[0], variables)})
-        spec_sq = _squarefree_factors(normalize_primitive(spec))[0]
+        spec_sq = _squarefree_factors(normalize_primitive(_at_e0(fu, variables, unames)))[0]
         if spec_sq != sq:
             raise _Degenerate(
                 f"plain and u-weighted resolvents disagree at codimension {codim}"
@@ -440,58 +442,45 @@ def _decompose_with_matrix(gens, variables, matrix):
 
 
 def parametrize_component(generators, factor, variables, unames, k):
-    """Extract the projection equation and the dependent-coordinate
-    parametrization from one irreducible factor of the u-weighted resolvent.
+    """Projection equation and dependent-coordinate parametrization of one
+    irreducible factor F of the u-weighted resolvent, read off F's value
+    and u-gradient at e_0 = (1, 0, ..., 0).
 
-    The names come from _decompose_with_matrix: variables are the working
-    coordinates x_0, x_1, ..., unames the weights u_i, one per coordinate,
-    and k the dimension of the component's part, so that phi lies in
-    x_0, ..., x_k and the later coordinates are parametrized.  The factor
-    arrives as a polynomial in the fiber combination X_, the weights and
-    the free coordinates; substituting X_ = u_0 x_0 + ... and reading off
-    the u_0^d and u_i u_0^(d-1) coefficients yields phi and the pairs
-    (phi', phi_i) with x_i = phi_i/phi' on the component.  Components whose
-    sheets depend on the weights (immersed varieties), and those whose
-    parametrization does not make every generator vanish, are flagged.
+    variables are the working coordinates x_0, x_1, ..., unames the weights
+    u_i and k the dimension of the component's part, so phi lies in
+    x_0, ..., x_k and the later coordinates are parametrized.  F involves
+    X_, the weights and x_1, ..., never x_0, so G(u) = F(u_0 x_0 + ..., u)
+    is homogeneous of degree d = deg_(X_) F in u exactly when F is in
+    (X_, u) jointly; otherwise the sheets depend on the weights (an
+    immersed component).  For homogeneous F, G's u_0^d coefficient is
+    phi = G(e_0) = F(x_0, e_0), and its u_i u_0^(d-1) coefficient, dG/du_i
+    at e_0, is x_i phi' + F_(u_i)(x_0, e_0), so x_i = phi_i/phi' with
+    phi_i = -F_(u_i)(x_0, e_0).  A phi of the wrong degree or involving a
+    coordinate past x_k, a phi_i involving x_i, or a failed certificate
+    also marks the component immersed.
     """
     d = factor.degree(_X)
     if d <= 0:
         raise DomainError("factor does not involve the fiber combination")
-    x = MultiPoly.zero(())
-    for i, v in enumerate(variables):
-        x = x + MultiPoly.var(unames[i], (unames[i],)) * MultiPoly.var(v, (v,))
-    phi_full = factor.subs({_X: x})
     codim = len(variables) - k
-    # the u_0^d coefficient is the projection equation; the u_i u_0^(d-1)
-    # coefficients are only consistent with it at the same overall scale, so
-    # normalization happens jointly at the very end
-    zero = MultiPoly.zero(phi_full.variables)
-    by_u0 = phi_full.coeffs_in(unames[0])
-    phi = by_u0.get(d, zero)
-    # a projection equation that involves the weights marks an immersed sheet
-    # set; it is tested first, since with_variables cannot drop a weight
-    if phi.used_variables() & set(unames):
-        return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
-    phi = phi.with_variables(variables)
-    # so does one of the wrong degree (zero has degree -1), one involving a
-    # coordinate past x_k, or a factor not homogeneous of degree d in the
-    # weights, whose sheet set depends on them
-    weights = [phi_full.variables.index(u) for u in unames if u in phi_full.variables]
+    phi = _at_e0(factor, variables, unames)
+    weights = [factor.variables.index(v) for v in (_X, *unames) if v in factor.variables]
     if (
-        phi.degree(variables[0]) != d
+        any(sum(e[i] for i in weights) != d for e in factor.num)
+        or phi.degree(variables[0]) != d
         or phi.used_variables() & set(variables[k + 1 :])
-        or any(sum(e[i] for i in weights) != d for e in phi_full.num)
     ):
         return ComponentParam(codim, d, phi, MultiPoly.zero(variables), {}, immersed=True)
     phi_prime = phi.derivative(variables[0])
     params = {}
     for i in range(k + 1, len(variables)):
         v = variables[i]
-        c = by_u0.get(d - 1, zero).coeffs_in(unames[i]).get(1, zero).with_variables(variables)
-        num = MultiPoly.var(v, variables) * phi_prime - c
+        num = -_at_e0(factor.derivative(unames[i]), variables, unames)
         if v in num.used_variables():
             return ComponentParam(codim, d, phi, phi_prime, {}, immersed=True)
         params[v] = num
+    # phi, phi' and the phi_i are only consistent at the same overall scale,
+    # so normalization happens jointly here
     scale = content_primitive(phi)[0]
     phi = phi * (1 / scale)
     phi_prime = phi_prime * (1 / scale)
@@ -503,30 +492,16 @@ def parametrize_component(generators, factor, variables, unames, k):
 
 
 def _verify_parametrization(generators, comp, variables):
-    """Every generator must vanish after substituting x_i = phi_i/phi' and
-    reducing modulo the projection equation."""
+    """Every generator must vanish after substituting x_i = phi_i/phi', one
+    coordinate at a time, each cleared by phi'^(deg_(x_i)), and reducing
+    modulo the projection equation."""
     x0 = variables[0]
     for g in generators:
-        degree_budget = sum(g.degree(v) for v in comp.params)
-        # clear denominators: substitute x_i -> phi_i, scaling by phi'^deg
-        # g.num only: g.den scales the total, and only its vanishing is tested
-        total = MultiPoly.zero(())
-        for e, c in g.num.items():
-            term = MultiPoly.const(c)
-            used = 0
-            for i, v in enumerate(g.variables):
-                if not e[i]:
-                    continue
-                if v in comp.params:
-                    term = term * comp.params[v] ** e[i]
-                    used += e[i]
-                else:
-                    term = term * MultiPoly.var(v, (v,)) ** e[i]
-            term = term * comp.phi_prime ** (degree_budget - used)
-            total = total + term
-        if total.degree(x0) >= comp.phi.degree(x0):
-            total = polyring._prem(total, comp.phi, x0)
-        if not total.is_zero:
+        for v, num in comp.params.items():
+            g = _cleared_subs(g, v, num, comp.phi_prime)
+        if g.degree(x0) >= comp.phi.degree(x0):
+            g = polyring._prem(g, comp.phi, x0)
+        if not g.is_zero:
             return False
     return True
 

@@ -238,6 +238,28 @@ def test_bezout_witnesses(K23):
     assert lhs == c + e * 2
 
 
+def test_bezout_certificate_rejects_bad_witnesses(K23, monkeypatch):
+    # E = (A f_i + B f_j - C)/p, so the certificate is E integral and p not
+    # dividing C: a witness scaled by p fails the second, a perturbed A the
+    # first
+    from kronecker import modp
+
+    ext_euclid = modp.ext_euclid
+
+    def scaled(a, b, p):
+        A, B, C = ext_euclid(a, b, p)
+        return [p * c for c in A], [p * c for c in B], p * C
+
+    def perturbed(a, b, p):
+        A, B, C = ext_euclid(a, b, p)
+        return [A[0] + 1, *A[1:]], B, C
+
+    for witness, message in ((scaled, "does not certify"), (perturbed, "failed to lift")):
+        monkeypatch.setattr(modp, "ext_euclid", witness)
+        with pytest.raises(AlgebraError, match=message):
+            decompose_prime(K23, 2)
+
+
 def test_prime_decomposition_soundness():
     """Norm bookkeeping for every corpus field and unramified p <= 50."""
     from kronecker import primes

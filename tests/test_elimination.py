@@ -202,6 +202,87 @@ def test_parametrization_is_certified_even_without_generators(monkeypatch):
     monkeypatch.setattr(elimination, "_verify_parametrization", lambda *args: False)
     assert run([], factor, variables, unames, k).immersed
 
+
+def _reference_reading(factor, variables, unames, k):
+    """phi and the phi_i read as coefficients of F(u_0 x_0 + ..., u): phi
+    the u_0^d one, phi_i = x_i phi' minus the u_i u_0^(d-1) one."""
+    d = factor.degree("X_")
+    full = factor.subs({"X_": sum(MultiPoly.var(u) * MultiPoly.var(v) for u, v in zip(unames, variables))})
+    weights = [full.variables.index(u) for u in unames if u in full.variables]
+    homogeneous = all(sum(e[i] for i in weights) == d for e in full.num)
+    zero = MultiPoly.zero(full.variables)
+    by_u0 = full.coeffs_in(unames[0])
+    phi = by_u0.get(d, zero)
+    params = {}
+    for i in range(k + 1, len(variables)):
+        c = by_u0.get(d - 1, zero).coeffs_in(unames[i]).get(1, zero)
+        params[variables[i]] = MultiPoly.var(variables[i]) * phi.derivative(variables[0]) - c
+    return homogeneous, phi, params
+
+
+@pytest.mark.parametrize(
+    "texts, redraws",
+    [
+        (("x^2-2", "y-x"), False),
+        (("x*z", "y*z"), False),
+        (("x^2+y^2+z^2-1", "x+y+z"), False),
+        (("y-x^2", "z-x^3"), False),
+        (("y*x", "y*z"), True),
+    ],
+)
+def test_parametrization_matches_the_u_coefficient_reading(monkeypatch, texts, redraws):
+    # phi = F(x_0, e_0) and phi_i = -F_(u_i)(x_0, e_0) agree with reading
+    # the u_0^d and u_i u_0^(d-1) coefficients of F(u_0 x_0 + ..., u)
+    from kronecker import elimination
+    from kronecker.polyring import content_primitive
+
+    calls = []
+    run = elimination.parametrize_component
+    monkeypatch.setattr(elimination, "parametrize_component", lambda *args: calls.append(args) or run(*args))
+    dec = decompose_variety(parse_polys(texts))
+    identity = [[int(i == j) for j in range(len(dec.variables))] for i in range(len(dec.variables))]
+    assert (dec.coordinate_change != identity) == redraws
+    assert calls
+    for generators, factor, variables, unames, k in calls:
+        comp = run(generators, factor, variables, unames, k)
+        homogeneous, phi, params = _reference_reading(factor, variables, unames, k)
+        assert homogeneous and not comp.immersed
+        scale = content_primitive(phi)[0]
+        assert comp.phi == phi * (1 / scale)
+        assert comp.phi_prime == phi.derivative(variables[0]) * (1 / scale)
+        assert set(comp.params) == set(params)
+        for v, num in params.items():
+            assert comp.params[v] == num * (1 / scale)
+
+
+def test_a_factor_not_homogeneous_in_the_fiber_and_weights_is_immersed():
+    from kronecker.elimination import parametrize_component
+
+    variables, unames = ("x", "y"), ("u0", "u1")
+    # X_^2 - 2*(u_0 + u_1)^2 parametrizes x^2 - 2, y = x; dropping a power of
+    # u_0 keeps phi = x^2 - 2 but makes the sheets depend on the weights
+    good = parse_poly("X_^2 - 2*u1^2 - 4*u1*u0 - 2*u0^2")
+    bad = parse_poly("X_^2 - 2*u1^2 - 4*u1*u0 - 2*u0")
+    assert _reference_reading(good, variables, unames, 0)[0]
+    assert not _reference_reading(bad, variables, unames, 0)[0]
+    gens = parse_polys(["x^2-2", "y-x"])
+    assert not parametrize_component(gens, good, variables, unames, 0).immersed
+    comp = parametrize_component([], bad, variables, unames, 0)
+    assert comp.immersed and comp.phi == parse_poly("x^2 - 2") and not comp.params
+
+
+def test_a_wrong_parametrization_fails_the_certificate():
+    from kronecker.elimination import ComponentParam, _verify_parametrization
+
+    gens = parse_polys(["x^2-2", "y-x"])
+    dec = decompose_variety(gens)
+    comp = next(c for c in dec.components if not c.immersed)
+    assert _verify_parametrization(gens, comp, dec.variables)
+    params = {"y": comp.params["y"] + 1}
+    wrong = ComponentParam(comp.codim, comp.degree, comp.phi, comp.phi_prime, params)
+    assert not _verify_parametrization(gens, wrong, dec.variables)
+
+
 def test_parabola_projection_equation():
     dec = decompose_variety(parse_polys(["y - x^2"]))
     comp = next(c for c in dec.components if not c.immersed)

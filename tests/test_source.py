@@ -178,6 +178,52 @@ def test_the_factoring_lint_recognises_a_second_loop():
     assert _calls(ast.parse(frame).body[0], "_sqf_split_multi")
 
 
+def _powers_by_a_difference_in_a_loop(fn):
+    """True when fn raises to an exponent of the form a - b inside a loop
+    or comprehension, as in den ** (d - k): a substitution cleared of its
+    denominator by hand."""
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Pow)
+        and isinstance(n.right, ast.BinOp)
+        and isinstance(n.right.op, ast.Sub)
+        for loop in ast.walk(fn)
+        if isinstance(loop, _LOOPS)
+        for n in ast.walk(loop)
+    )
+
+
+def test_one_cleared_substitution():
+    # x -> num/den times den^deg is elimination._cleared_subs, for the
+    # u-substitution and the certificate alike
+    tree = ast.parse((PACKAGE / "elimination.py").read_text())
+    found = sorted(name for name, fn in _functions(tree) if _powers_by_a_difference_in_a_loop(fn))
+    assert found == ["_cleared_subs"], f"functions clearing a substitution by hand: {found}"
+
+
+def test_the_cleared_substitution_lint_recognises_a_hand_clearing():
+    by_hand = (
+        "def _verify(g, params, phi_prime, budget):\n"
+        "    total = 0\n"
+        "    for e, c in g.num.items():\n"
+        "        term, used = c, 0\n"
+        "        for v, k in zip(g.variables, e):\n"
+        "            term, used = term * params[v] ** k, used + k\n"
+        "        total = total + term * phi_prime ** (budget - used)\n"
+        "    return total\n"
+    )
+    assert _powers_by_a_difference_in_a_loop(ast.parse(by_hand).body[0])
+    comprehension = "def f(g, num, den, d):\n    return sum(c * num**k * den ** (d - k) for k, c in g)\n"
+    assert _powers_by_a_difference_in_a_loop(ast.parse(comprehension).body[0])
+    # the pencil factor of eliminate_step is one power, outside any loop
+    pencil = (
+        "def eliminate_step(g, h, var):\n"
+        "    m, n = g.degree(var), h.degree(var)\n"
+        "    return g.coeffs_in(var)[m] ** (m - n) * resultant(g, h, var)\n"
+    )
+    assert not _powers_by_a_difference_in_a_loop(ast.parse(pencil).body[0])
+
+
 def _unions_variables_by_hand(fn):
     """True when fn takes names from a ``.variables`` tuple and tests
     ``v not in L`` against a list L that it appends to or extends: a
