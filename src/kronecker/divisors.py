@@ -84,9 +84,9 @@ class DivisorForm:
         """x1*u1 + ... + xk*uk with fresh indeterminates."""
         if not elements:
             raise DomainError("empty element list")
-        if unames is None:
-            unames = tuple(f"u{i + 1}" for i in range(len(elements)))
         k = len(elements)
+        if unames is None:
+            unames = _indeterminates(elements[0].field, k)
         coeffs = {tuple(int(i == j) for j in range(k)): x for i, x in enumerate(elements)}
         return cls(elements[0].field, unames, coeffs)
 
@@ -172,6 +172,13 @@ class DivisorForm:
 
     def __repr__(self):
         return f"DivisorForm({self})"
+
+
+def _indeterminates(field, k):
+    """The first k of the names u1, u2, ... that differ from the generator
+    variable."""
+    names = (f"u{i}" for i in range(1, k + 2))
+    return tuple(u for u in names if u != field.minpoly.variable)[:k]
 
 
 def _form(field, poly):
@@ -402,8 +409,7 @@ def decompose_prime(field, p):
     residues = [g for g, _ in factors]
     lifts = [UniPoly(var, g) for g in residues]
     out = []
-    for i, lift in enumerate(lifts):
-        uname = f"u{i + 1}"
+    for uname, lift in zip(_indeterminates(field, len(lifts)), lifts):
         value = field.from_int_poly(lift)
         form = DivisorForm(
             field,

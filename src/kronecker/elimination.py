@@ -47,7 +47,10 @@ from kronecker.polyring import MultiPoly, content_primitive, normalize_primitive
 MAX_RETRIES = 8
 _ENTRIES = tuple(c for c in range(-9, 10) if c)  # off-diagonal entries of a redrawn L and U
 
-_X = "X_"  # reserved fiber-combination variable for the u-weighted run
+# Internal names start with an underscore, which no parsed variable can:
+# the fiber combination, the weights _u0, _u1, ... and the coefficients
+# _U1, _V1, ... of a weighted projection.
+_X = "_X"
 
 
 class EliminationConfig:
@@ -180,8 +183,8 @@ def _weighted_step(passive, active, var):
     of Res(sum U_i g_i, sum V_i g_i) in the weights, after the passive
     generators."""
     m = len(active)
-    unames = [f"U{i + 1}" for i in range(m)]
-    vnames = [f"V{i + 1}" for i in range(m)]
+    unames = [f"_U{i + 1}" for i in range(m)]
+    vnames = [f"_V{i + 1}" for i in range(m)]
     a = MultiPoly.zero(())
     b = MultiPoly.zero(())
     for i, g in enumerate(active):
@@ -305,7 +308,7 @@ def _u_substituted(gens, variables, unames):
 
 
 def _at_e0(p, variables, unames):
-    """p at X_ = x_0 and u = e_0 = (1, 0, ..., 0), over the working
+    """p at _X = x_0 and u = e_0 = (1, 0, ..., 0), over the working
     coordinates: a u-resolvent's value at the first weight vector."""
     point = {unames[0]: 1, **{u: 0 for u in unames[1:]}, _X: MultiPoly.var(variables[0], variables)}
     return p.subs(point).with_variables(variables)
@@ -394,7 +397,7 @@ def _decompose_with_matrix(gens, variables, matrix):
     n = len(variables)
     inverse = _integral_inverse(matrix)
     working = [_apply_matrix(g, inverse, variables) for g in gens]
-    unames = tuple(f"u{i}" for i in range(n))
+    unames = tuple(f"_u{i}" for i in range(n))
 
     stages, leftover = _skeleton(working, variables)
     u_stages = dict(_skeleton(_u_substituted(working, variables, unames), variables, unames)[0])
@@ -449,9 +452,9 @@ def parametrize_component(generators, factor, variables, unames, k):
     variables are the working coordinates x_0, x_1, ..., unames the weights
     u_i and k the dimension of the component's part, so phi lies in
     x_0, ..., x_k and the later coordinates are parametrized.  F involves
-    X_, the weights and x_1, ..., never x_0, so G(u) = F(u_0 x_0 + ..., u)
-    is homogeneous of degree d = deg_(X_) F in u exactly when F is in
-    (X_, u) jointly; otherwise the sheets depend on the weights (an
+    _X, the weights and x_1, ..., never x_0, so G(u) = F(u_0 x_0 + ..., u)
+    is homogeneous of degree d = deg_(_X) F in u exactly when F is in
+    (_X, u) jointly; otherwise the sheets depend on the weights (an
     immersed component).  For homogeneous F, G's u_0^d coefficient is
     phi = G(e_0) = F(x_0, e_0), and its u_i u_0^(d-1) coefficient, dG/du_i
     at e_0, is x_i phi' + F_(u_i)(x_0, e_0), so x_i = phi_i/phi' with

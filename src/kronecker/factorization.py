@@ -23,9 +23,11 @@ Algebra*, Alg. 15.19:
 Kronecker's own univariate method, the interpolation search, stays as
 ``_factor_squarefree_interpolation``: a factor g of F satisfies
 g(r) | F(r) at every integer r, so candidates come from divisor tuples of
-the values at deg + 1 points and Lagrange interpolation.  It is exponential
-and refuses squarefree cores above degree 12.  The tests use it as an
-independent check of the modular route.
+the values at deg + 1 points where F does not vanish, and Lagrange
+interpolation.  Linear factors, and so rational roots, come out of the
+same search at degree 1; there is no separate rational-root step.  It is
+exponential and refuses squarefree inputs above degree 12.  The tests use
+it as an independent check of the modular route.
 
 Multivariate polynomials reduce to the univariate case through Kronecker
 substitution: the image's factors (at most 16) go through the same subset
@@ -134,42 +136,18 @@ def _signed_divisors(n):
     return out
 
 
-def _extract_integer_roots(f):
-    """Divide out all (x - r) found along the evaluation sequence; rational
-    roots p/q of a primitive polynomial appear as (q*x - p)."""
-    found = []
-    cands = set()
-    # rational root theorem on the primitive integer polynomial
-    k0 = next(i for i, c in enumerate(f.num) if c)
-    for _ in range(k0):
-        found.append(UniPoly(f.variable, [0, 1]))
-        f = f.div_exact(UniPoly(f.variable, [0, 1]))
-    if f.degree >= 1:
-        for pnum in primes.divisors(f.num[0]):
-            for qden in primes.divisors(f.num[-1]):
-                for s in (1, -1):
-                    cands.add(Fraction(s * pnum, qden))
-        for r in sorted(cands, key=lambda v: (abs(v), v < 0)):
-            while f.degree >= 1 and not f.eval(r):
-                lin = UniPoly(f.variable, [-r.numerator, r.denominator])
-                f2 = f.div_exact(lin)
-                if f2 is None:
-                    break
-                found.append(lin)
-                f = f2
-    return found, f
-
-
 SEARCH_SPACE_CAP = 5_000_000
 
 
 def _search_factor(f, degree):
     """First (in deterministic tuple order) degree-d factor of f, or None.
 
-    f is primitive, squarefree, with integer coefficients and no rational
-    roots, and f(r) != 0 on the evaluation points used.  Only
-    _factor_squarefree_interpolation calls it: Kronecker's interpolation
-    search, kept as the tests' reference for the modular route.
+    f is primitive and squarefree with integer coefficients.  A point where
+    f vanishes constrains no factor, so the search skips it; linear factors
+    come out at degree 1 like any other.  Only
+    _factor_squarefree_interpolation calls it, after capping the degree of
+    its squarefree input at UNIVARIATE_DEGREE_CAP: Kronecker's interpolation
+    search alone, kept as the tests' reference for the modular route.
     """
     pts = []
     vals = []
@@ -177,10 +155,9 @@ def _search_factor(f, degree):
     while len(pts) < degree + 1:
         r = next(gen)
         v = f.eval(r)
-        if v == 0:
-            raise AlgebraError("rational roots must be extracted beforehand")
-        pts.append(r)
-        vals.append(int(v))
+        if v:
+            pts.append(r)
+            vals.append(int(v))
     lcf = f.num[-1]
     choice_lists = [_signed_divisors(v) for v in vals]
     space = 1
@@ -212,12 +189,11 @@ def _factor_squarefree_interpolation(f):
     No route of the package calls it: it is the tests' reference for the
     modular route of _factor_squarefree, which factor_univariate takes.
     """
-    factors, f = _extract_integer_roots(f)
-    factors = [g.content_primitive()[1] for g in factors]
     if f.degree > UNIVARIATE_DEGREE_CAP:
         raise DomainError(
             f"interpolation factor search is limited to degree {UNIVARIATE_DEGREE_CAP}"
         )
+    factors = []
     d = 1
     while f.degree >= 2 and d <= f.degree // 2:
         g = _search_factor(f, d)

@@ -178,14 +178,12 @@ def ext_euclid(a, b, p):
 
 def bezout(g, h, p):
     """(s, t) with s*g + t*h = 1 over F_p, deg s < deg h and deg t < deg g,
-    for g and h coprime: the cofactors hensel_step starts from."""
+    for g and h coprime of positive degree: the cofactors hensel_step starts
+    from.  Extended Euclid's cofactors already obey both degree bounds (von
+    zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 3)."""
     s, t, c = ext_euclid(g, h, p)
     inv = pow(c, -1, p)
-    s, t = [x * inv % p for x in s], [x * inv % p for x in t]
-    if len(s) >= len(h):
-        q, s = quo_rem(s, h, p)
-        t = add(t, mul(q, g, p), p)
-    return s, t
+    return [x * inv % p for x in s], [x * inv % p for x in t]
 
 
 # ---------------------------------------------------------------------------

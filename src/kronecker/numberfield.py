@@ -251,7 +251,8 @@ class AlgNum:
         return _make(self.field, [a + b * s, -b], self.den)
 
     def __str__(self):
-        return str(MultiPoly.from_ints(("t",), {(k,): a for k, a in enumerate(self.num) if a}, self.den))
+        terms = {(k,): a for k, a in enumerate(self.num) if a}
+        return str(MultiPoly.from_ints((self.field.minpoly.variable,), terms, self.den))
 
     def __repr__(self):
         return f"AlgNum({self})"

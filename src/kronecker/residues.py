@@ -17,7 +17,7 @@ i = m-1.
 from fractions import Fraction
 
 from kronecker.errors import AlgebraError, DomainError
-from kronecker.factorization import _extract_integer_roots
+from kronecker.factorization import factor_multivariate
 from kronecker.polyring import MultiPoly, UniPoly, poly_matrix_det, union_variables
 
 _ZERO = Fraction(0)
@@ -62,40 +62,30 @@ class PointSet:
 
     def check_product_grid(self):
         """When each equation is univariate in its own variable, verify the
-        points exhaust the rational solution grid."""
-        per_var = {}
+        points exhaust the rational solution grid.
+
+        The points are simple zeros, so there are at most prod(deg f_v) of
+        them; once every f_v splits into linear factors over Q, the distinct
+        points exhaust the grid exactly when there are that many.
+        """
+        used = [f.used_variables() for f in self.system]
+        if any(len(u) != 1 for u in used) or len(set().union(*used)) < len(used):
+            return None
+        expected = 1
         for f in self.system:
-            used = f.used_variables()
-            if len(used) != 1:
-                return None
-            v = next(iter(used))
-            if v in per_var:
-                return None
-            per_var[v] = UniPoly.from_multipoly(f, v)
-        roots = {}
-        for v, f in per_var.items():
             # rational roots only: exhaustiveness is decidable exactly
-            linear, _ = _extract_integer_roots(f.content_primitive()[1])
-            found = [Fraction(-lin.num[0], lin.num[1]) for lin in linear]
-            if len(found) != f.degree:
+            if any(g.total_degree() > 1 for g, _ in factor_multivariate(f).factors):
                 raise DomainError(
                     "system has irrational solutions; the supplied points "
                     "cannot exhaust the solution set"
                 )
-            roots[v] = found
-        expected = 1
-        for v in roots:
-            expected *= len(roots[v])
-        if len(self.points) != expected:
+            expected *= f.total_degree()
+        have = {tuple(pt.values()) for pt in self.points}
+        if len(self.points) != expected or len(have) != expected:
             raise DomainError(
-                f"point set incomplete: expected {expected} grid points, got {len(self.points)}"
+                f"point set incomplete: expected {expected} distinct grid points, "
+                f"got {len(have)} distinct of {len(self.points)}"
             )
-        have = {tuple(pt[v] for v in self.variables) for pt in self.points}
-        grid = [()]
-        for v in self.variables:
-            grid = [g + (r,) for g in grid for r in roots[v]]
-        if have != set(grid):
-            raise DomainError("point set does not match the solution grid")
         return True
 
 

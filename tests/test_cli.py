@@ -139,6 +139,25 @@ PINNED = [
     (["--json", "class-number", "-d", "-1000000"], 1, "", "error: |d| capped at 200\n"),
     (["galois", "--", "x^6 + x + 1"], 1, "", "error: degree capped at 5\n"),
     (["--json", "galois", "--", "x^6 + x + 1"], 1, "", "error: degree capped at 5\n"),
+    (["genus-disc", "2"], 0, "det^2 == D^(2!/2): true (degree 2)\n", ""),
+    (["--json", "genus-disc", "2"], 0, '{"degree": 2, "equal": true, "n": 2}\n', ""),
+    (["genus-disc", "3"], 0, "det^2 == D^(3!/2): true (degree 18)\n", ""),
+    (["--json", "genus-disc", "3"], 0, '{"degree": 18, "equal": true, "n": 3}\n', ""),
+    (["genus-disc", "4"], 1, "", "error: identity is computed symbolically for n = 2 and 3\n"),
+    (["--json", "genus-disc", "4"], 1, "", "error: identity is computed symbolically for n = 2 and 3\n"),
+    (["ramified", "--minpoly", "t^2 + 5"], 0, "2 5\n", ""),
+    (["--json", "ramified", "--minpoly", "t^2 + 5"], 0, '{"ramified": [2, 5]}\n', ""),
+    (["ramified", "--minpoly", "t"], 0, "(none)\n", ""),
+    (["--json", "ramified", "--minpoly", "t"], 0, '{"ramified": []}\n', ""),
+    (["eliminate", "--", "0"], 0, "variety: whole space (zero ideal)\ntotal resolvente: 1\n", ""),
+    (["--json", "eliminate", "--", "0"], 0, '{"components": [], "empty": false, "parts": [{"codim": 0, "factors": [], "resolvent": "0"}]}\n', ""),
+    (["disc", "--", "x*y"], 1, "", "error: specify the variable for a multivariate discriminant\n"),
+    (["--json", "disc", "--", "x*y"], 1, "", "error: specify the variable for a multivariate discriminant\n"),
+    # a generator named like an indeterminate: the indeterminates skip its name
+    (["prime-decomp", "--minpoly", "u1^2 + 1", "--p", "5"], 0, "p=5 f=1 local_factor=u1 + 2 form=(u1 + 2)*u2 + 5 certified=true\np=5 f=1 local_factor=u1 + 3 form=(u1 + 3)*u3 + 5 certified=true\n", ""),
+    (["--json", "prime-decomp", "--minpoly", "u1^2 + 1", "--p", "5"], 0, '[{"certified": true, "f": 1, "local_factor": [2, 1], "p": 5}, {"certified": true, "f": 1, "local_factor": [3, 1], "p": 5}]\n', ""),
+    (["divisor-gcd", "--minpoly", "u1^2 + 1", "2", "1 + u1"], 0, "gcd divisor: 2*u2 + (u1 + 1)*u3\nnorm: 4*u2^2 + 4*u2*u3 + 2*u3^2\ncontent: 2\nFm: 2*u2^2 + 2*u2*u3 + u3^2\n", ""),
+    (["--json", "divisor-gcd", "--minpoly", "u1^2 + 1", "2", "1 + u1"], 0, '{"content": 2, "fm": "2*u2^2 + 2*u2*u3 + u3^2", "form": "2*u2 + (u1 + 1)*u3", "norm": "4*u2^2 + 4*u2*u3 + 2*u3^2", "unit": false}\n', ""),
 ]
 
 
@@ -151,8 +170,8 @@ def test_cli_output_is_pinned(argv, code, out, err, capsys):
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 @pytest.mark.parametrize("command", ["eliminate", "parametrize"])
 def test_eliminate_names_no_internal_variable(mode, command, capsys):
-    """No message names the weights u0, u1, ..., the combination
-    coefficients U1, V1, ... or the fiber combination X_: not on the doubled
+    """No message names the weights _u0, _u1, ..., the combination
+    coefficients _U1, _V1, ... or the fiber combination _X: not on the doubled
     lines whose projection equation keeps a weight (an immersed component),
     nor on other doubled components or on a projection that is not proper."""
     systems = [
@@ -165,7 +184,50 @@ def test_eliminate_names_no_internal_variable(mode, command, capsys):
     for system in systems:
         assert main([*mode, command, "--", *system]) == 0
         out, err = capsys.readouterr()
-        assert not re.search(r"\b(u\d|U\d|V\d|X_)", out + err), (system, out + err)
+        assert not re.search(r"\b(_u\d|_U\d|_V\d|_X\b)", out + err), (system, out + err)
+
+
+# order-preserving twins: the internal names sort where they did against both
+_TWINS = {"u0": "a", "u1": "b", "u2": "c", "U1": "P1", "V1": "Q1", "X_": "R_"}
+
+
+def _renamed(text, table):
+    return re.sub(r"\b(" + "|".join(table) + r")\b", lambda m: table[m.group(1)], text)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        ["u1^2 - 2", "u0 - u1"],
+        ["X_^2 + U1^2 - 1", "X_ - U1"],
+        ["U1^2 + V1^2 + X_^2 - 1", "U1 + V1 + X_"],
+        ["U1*V1 - 1", "U1 - V1^2"],
+        ["X_*U1", "V1^2 - 3*X_*V1*U1^2"],
+        ["u0*u1 - 1", "u1*u2 - 1", "u0 + u2 - 2"],
+    ],
+)
+def test_variables_named_like_internal_ones_answer_as_their_twins(system, capsys):
+    back = {v: k for k, v in _TWINS.items()}
+    for argv in (["parametrize"], ["--json", "eliminate"]):
+        assert main([*argv, "--", *system]) == 0
+        answer = capsys.readouterr()
+        assert main([*argv, "--", *(_renamed(g, _TWINS) for g in system)]) == 0
+        twin = capsys.readouterr()
+        assert answer == (_renamed(twin.out, back), _renamed(twin.err, back)), system
+
+
+def test_residue_on_a_rational_grid_is_pinned(tmp_path, capsys):
+    problem = {
+        "system": ["x^2 - 1", "y^2 - 4"],
+        "points": [["1", "2"], ["1", "-2"], ["-1", "2"], ["-1", "-2"]],
+        "numerator": "x*y",
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["residue", "--", str(path)]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    assert main(["--json", "residue", "--", str(path)]) == 0
+    assert capsys.readouterr() == ('{"value": "1"}\n', "")
 
 
 def test_interpolation_at_rational_points_is_pinned(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kronecker.elimination import (
+    _X,
     EliminationConfig,
     _weighted_step,
     decompose_variety,
@@ -206,8 +207,8 @@ def test_parametrization_is_certified_even_without_generators(monkeypatch):
 def _reference_reading(factor, variables, unames, k):
     """phi and the phi_i read as coefficients of F(u_0 x_0 + ..., u): phi
     the u_0^d one, phi_i = x_i phi' minus the u_i u_0^(d-1) one."""
-    d = factor.degree("X_")
-    full = factor.subs({"X_": sum(MultiPoly.var(u) * MultiPoly.var(v) for u, v in zip(unames, variables))})
+    d = factor.degree(_X)
+    full = factor.subs({_X: sum(MultiPoly.var(u) * MultiPoly.var(v) for u, v in zip(unames, variables))})
     weights = [full.variables.index(u) for u in unames if u in full.variables]
     homogeneous = all(sum(e[i] for i in weights) == d for e in full.num)
     zero = MultiPoly.zero(full.variables)
@@ -255,14 +256,21 @@ def test_parametrization_matches_the_u_coefficient_reading(monkeypatch, texts, r
             assert comp.params[v] == num * (1 / scale)
 
 
+def _in_fiber_variable(text):
+    """The polynomial of text with its variable X renamed to the fiber
+    variable, a name no parsed variable can have."""
+    p = parse_poly(text)
+    return MultiPoly.from_ints(tuple(_X if v == "X" else v for v in p.variables), p.num, p.den)
+
+
 def test_a_factor_not_homogeneous_in_the_fiber_and_weights_is_immersed():
     from kronecker.elimination import parametrize_component
 
     variables, unames = ("x", "y"), ("u0", "u1")
-    # X_^2 - 2*(u_0 + u_1)^2 parametrizes x^2 - 2, y = x; dropping a power of
+    # X^2 - 2*(u_0 + u_1)^2 parametrizes x^2 - 2, y = x; dropping a power of
     # u_0 keeps phi = x^2 - 2 but makes the sheets depend on the weights
-    good = parse_poly("X_^2 - 2*u1^2 - 4*u1*u0 - 2*u0^2")
-    bad = parse_poly("X_^2 - 2*u1^2 - 4*u1*u0 - 2*u0")
+    good = _in_fiber_variable("X^2 - 2*u1^2 - 4*u1*u0 - 2*u0^2")
+    bad = _in_fiber_variable("X^2 - 2*u1^2 - 4*u1*u0 - 2*u0")
     assert _reference_reading(good, variables, unames, 0)[0]
     assert not _reference_reading(bad, variables, unames, 0)[0]
     gens = parse_polys(["x^2-2", "y-x"])

@@ -69,10 +69,41 @@ def test_rational_coefficients_fold_into_unit():
 
 
 def test_degree_cap():
-    # x^13 - 2 is irreducible: a squarefree core beyond the interpolation
+    # x^13 - 2 is irreducible: a squarefree input beyond the interpolation
     # search's degree cap of 12
     with pytest.raises(DomainError):
         _factor_squarefree_interpolation(UniPoly("x", [-2] + [0] * 12 + [1]))
+    # linear factors count: no rational-root step shrinks the input first
+    f = UniPoly("x", [1])
+    for r in range(-6, 7):
+        f = f * UniPoly("x", [-r, 1])
+    with pytest.raises(DomainError, match="limited to degree 12"):
+        _factor_squarefree_interpolation(f)
+    assert len(_factor_squarefree_interpolation(f.div_exact(UniPoly("x", [-6, 1])))) == 12
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x",
+        "2*x - 1",
+        "-3*x + 6",
+        "6*x^3 - 6*x",
+        "(2*x - 1)*(3*x + 2)*(x^2 + 1)",
+        "x*(x - 1)*(x + 1)*(x^2 - 2)",
+        "(x - 1)^2*(5*x + 3)*x^3",
+        "x^4 - 5*x^2 + 4",
+        "1/3*x*(x - 1)*(x + 1)*(x - 2)*(4*x + 7)*(x^2 + x + 1)",
+    ],
+)
+def test_the_interpolation_search_finds_linear_factors_itself(text):
+    # points where the input vanishes are skipped, and a linear factor
+    # comes out of the degree-1 search like a factor of any other degree
+    F = parse_poly(text)
+    search = _factor_with(F, _factor_squarefree_interpolation)
+    modular = factor_univariate(F)
+    assert _multiset(search) == _multiset(modular)
+    assert search.unit == modular.unit
 
 
 def test_zero_rejected():

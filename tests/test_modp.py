@@ -108,6 +108,24 @@ def test_ext_euclid_is_a_bezout_identity():
         assert c % p and modp.add(modp.mul(s, a, p), modp.mul(t, b, p), p) == [c % p]
 
 
+def test_bezout_cofactors_obey_the_degree_bounds():
+    # extended Euclid's cofactors need no reduction: deg s < deg h and
+    # deg t < deg g for coprime g, h of positive degree
+    rng = random.Random(83)
+    seen = 0
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for _ in range(150):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [rng.randrange(1, p)]
+            h = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [rng.randrange(1, p)]
+            if len(modp.gcd(g, h, p)) > 1:
+                continue
+            s, t = modp.bezout(g, h, p)
+            assert len(s) < len(h) and len(t) < len(g), (p, g, h)
+            assert modp.add(modp.mul(s, g, p), modp.mul(t, h, p), p) == [1]
+            seen += 1
+    assert seen > 500
+
+
 def test_squarefree_split_with_inseparable_parts():
     p = 3
     # (x + 1)^2 * (x^2 + 1)^3 * x^4 over F_3: x^2 + 1 cubed is a polynomial in x^3

@@ -36,6 +36,12 @@ def test_non_monic_rejected():
         NumberField("2*x^2 + 1")
 
 
+def test_elements_print_in_the_generator_variable():
+    assert str(NumberField("x^2 + 1").element([1, 2])) == "2*x + 1"
+    assert str(NumberField("t^3 - t - 1").element([Fraction(1, 2), 0, -3])) == "-3*t^2 + 1/2"
+    assert str(NumberField("w^2 - 5").element([7])) == "7"
+
+
 def test_arithmetic_in_gaussian():
     K = NumberField("x^2 + 1")
     i = K.gen()

@@ -55,11 +55,16 @@ def _grid():
     return PointSet(parse_polys(["x^2 - 1", "y^2 - 4"]), [(a, b) for a in (1, -1) for b in (2, -2)])
 
 
+# the zeros of (2*x + 1)*(3*x - 2) and 5*y - 3
+_NON_INTEGER_GRID = [(Fraction(-1, 2), Fraction(3, 5)), (Fraction(2, 3), Fraction(3, 5))]
+
+
 def test_product_grid_passes_on_a_rational_grid():
     assert _grid().check_product_grid() is True
     system = parse_polys(["2*x^2 - 3*x + 1", "y^3 - y"])
     points = [(a, b) for a in (1, Fraction(1, 2)) for b in (0, 1, -1)]
     assert PointSet(system, points).check_product_grid() is True
+    assert PointSet(parse_polys(["6*x^2 - x - 2", "5*y - 3"]), _NON_INTEGER_GRID).check_product_grid() is True
 
 
 def test_product_grid_raises_on_an_irrational_factor():
@@ -72,6 +77,30 @@ def test_product_grid_raises_on_an_incomplete_point_set():
     ps = PointSet(parse_polys(["x^2 - 1", "y^2 - 4"]), [(1, 2), (-1, 2), (1, -2)])
     with pytest.raises(DomainError, match="incomplete"):
         ps.check_product_grid()
+    ps = PointSet(parse_polys(["6*x^2 - x - 2", "5*y - 3"]), _NON_INTEGER_GRID[1:])
+    with pytest.raises(DomainError, match="incomplete"):
+        ps.check_product_grid()
+
+
+def test_product_grid_raises_on_a_repeated_root():
+    # the double root 1 carries no simple zero, so no point set exhausts
+    # the grid, whether or not the points are as many as the degrees allow
+    system = parse_polys(["(x - 1)^2*(x + 2)", "y - 1"])
+    with pytest.raises(DomainError, match="incomplete"):
+        PointSet(system, [(-2, 1)]).check_product_grid()
+    with pytest.raises(DomainError):
+        PointSet(system, [(-2, 1)] * 3).check_product_grid()
+    with pytest.raises(DomainError):
+        PointSet(system, [(1, 1)])  # not a simple zero
+
+
+def test_product_grid_raises_on_a_duplicated_point():
+    points = [(1, 2), (-1, 2), (1, -2), (-1, -2)]
+    system = parse_polys(["x^2 - 1", "y^2 - 4"])
+    with pytest.raises(DomainError):
+        PointSet(system, points[:3] + [(1, 2)]).check_product_grid()
+    with pytest.raises(DomainError, match="incomplete"):
+        PointSet(system, points + [(1, 2)]).check_product_grid()
 
 
 def test_product_grid_is_undecided_off_a_grid():

@@ -430,3 +430,48 @@ def test_no_module_imports_dataclasses():
     ]
     assert not found, f"modules importing dataclasses: {found}"
     assert "dataclasses" in _imports(ast.parse("from dataclasses import dataclass"))
+
+
+def _named(tree):
+    """The identifiers a module names: variables, attributes, imported
+    names and definitions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def _reference_names(source, filename):
+    """The names of Kronecker's interpolation search that a module other
+    than factorization.py names, and any second rational-root route."""
+    banned = {"_extract_integer_roots"}
+    if filename != "factorization.py":
+        banned |= {"_search_factor", "_factor_squarefree_interpolation"}
+    return sorted(banned.intersection(_named(ast.parse(source, filename=filename))))
+
+
+def test_the_interpolation_reference_stays_in_factorization():
+    # the interpolation search is the tests' reference for the modular
+    # route, so no other module reaches into it; it finds linear factors
+    # itself, so rational roots have no route of their own
+    found = [
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in _reference_names(path.read_text(), path.name)
+    ]
+    assert not found, f"names of the interpolation reference outside it: {found}"
+
+
+def test_the_reference_lint_recognises_an_import():
+    imported = "from kronecker.factorization import _search_factor as search\n"
+    assert _reference_names(imported, "residues.py") == ["_search_factor"]
+    assert _reference_names(imported, "factorization.py") == []
+    called = "from kronecker import factorization\nfactorization._factor_squarefree_interpolation(f)\n"
+    assert _reference_names(called, "galois.py") == ["_factor_squarefree_interpolation"]
+    defined = "def _extract_integer_roots(f):\n    return [], f\n"
+    assert _reference_names(defined, "factorization.py") == ["_extract_integer_roots"]
