@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from kronecker import classgroup, divisors, elimination, factorization, galois, residues
-from kronecker.errors import AlgebraError
+from kronecker.errors import AlgebraError, DomainError
 from kronecker.numberfield import NumberField
 from kronecker.polyring import UniPoly, discriminant, gcd, parse_poly, parse_polys, resultant
 
@@ -225,20 +225,45 @@ def _cmd_class_number(args):
 
 
 def _load_problem(path):
+    """The JSON object in the problem file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DomainError("problem file: a JSON object expected")
+    return doc
+
+
+def _entry(doc, name, kind):
+    """doc[name], checked to be a str or a list, as kind says."""
+    value = doc.get(name)
+    if not isinstance(value, kind):
+        raise DomainError(f"problem file: {name!r} must be a {'string' if kind is str else 'list'}")
+    return value
+
+
+def _rationals(values, name):
+    """The list values, read from the problem file's field name, as Fractions."""
+    if not isinstance(values, list):
+        raise DomainError(f"problem file: {name!r} must be a list")
+    try:
+        return [Fraction(v) for v in values]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"problem file: {name!r} must hold rational numbers") from None
 
 
 def _point_set(doc):
-    system = parse_polys(doc["system"])
-    points = [[Fraction(c) for c in pt] for pt in doc["points"]]
+    system = _entry(doc, "system", list)
+    if not all(isinstance(f, str) for f in system):
+        raise DomainError("problem file: 'system' must be a list of strings")
+    system = parse_polys(system)
+    points = [_rationals(pt, "points") for pt in _entry(doc, "points", list)]
     return residues.PointSet(system, points)
 
 
 def _cmd_residue(args):
     doc = _load_problem(args.file)
     ps = _point_set(doc)
-    numerator = parse_poly(doc["numerator"])
+    numerator = parse_poly(_entry(doc, "numerator", str))
     value = residues.jacobi_sum(ps, numerator)
     return _emit(args, {"value": _rat(value)}, [_rat(value)])
 
@@ -252,7 +277,7 @@ def _cmd_euler_trace(args):
 def _cmd_interpolate(args):
     doc = _load_problem(args.file)
     ps = _point_set(doc)
-    values = [Fraction(v) for v in doc["values"]]
+    values = _rationals(doc.get("values"), "values")
     p = residues.interpolate_zero_dim(ps, values)
     return _emit(args, {"interpolant": str(p)}, [str(p)])
 

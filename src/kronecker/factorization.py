@@ -8,9 +8,10 @@ Algebra*, Alg. 15.19:
    coefficient and keeps f squarefree mod p;
 2. split f mod p by distinct- and equal-degree factorization (Cantor and
    Zassenhaus 1981, in ``kronecker.modp``);
-3. Hensel-lift the factors along a balanced factor tree (Alg. 15.17) to a
-   modulus p^(2^k) above twice the bound B = sqrt(n + 1) 2^n |f|_oo |lc(f)|,
-   which every coefficient of lc(f) times a monic factor obeys;
+3. Hensel-lift the factors along a balanced factor tree (Alg. 15.17,
+   ``modp.hensel_lift``) to the least power p^k above twice Mignotte's
+   bound B = (isqrt(n + 1) + 1) 2^n |f|_oo |lc(f)|, which every
+   coefficient of lc(f) times a monic factor obeys;
 4. recombine: for subsets S of the lifted factors, smallest first, the
    symmetric residue of lc * prod(S) is tested for exact division of
    lc * f over Z; when every subset of at most half the factors fails,
@@ -39,7 +40,7 @@ a factor route per part, and a check that the factors multiply back out.
 import itertools
 from fractions import Fraction
 from functools import partial
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from kronecker import modp, polyring, primes
 from kronecker.errors import AlgebraError, DomainError
@@ -219,32 +220,6 @@ def _good_prime(F):
         p = primes.next_prime(p)
 
 
-def _hensel_lift(F, factors, p, steps):
-    """Monic lifts mod p^(2^steps) of the monic factors mod p, with
-    F = lc(F) * prod(lifts) mod p^(2^steps), along a balanced factor tree.
-
-    F = lc(F) * prod(factors) mod p, the factors pairwise coprime.  At each
-    node the left product carries lc(F) and the right one is monic: the
-    Hensel step divides by the right one.
-    """
-    if len(factors) == 1:
-        m = p ** (2**steps)
-        return [modp.monic(modp.trim(F, m), m)]
-    k = len(factors) // 2
-    g = [F[-1] % p]
-    for f in factors[:k]:
-        g = modp.mul(g, f, p)
-    h = [1]
-    for f in factors[k:]:
-        h = modp.mul(h, f, p)
-    s, t = modp.bezout(g, h, p)
-    m = p
-    for _ in range(steps):
-        g, h, s, t = modp.hensel_step(F, g, h, s, t, m)
-        m *= m
-    return _hensel_lift(g, factors[:k], p, steps) + _hensel_lift(h, factors[k:], p, steps)
-
-
 def _primitive(f):
     """Primitive part of a nonzero integer coefficient list, lc > 0."""
     g = gcd(*f) if f[-1] > 0 else -gcd(*f)
@@ -307,14 +282,9 @@ def _factor_squarefree(f):
     factors = modp.factor_squarefree(modp.monic(modp.trim(F, p), p), p)
     if len(factors) == 1:
         return [f]
-    n = len(F) - 1
-    bound = (isqrt(n + 1) + 1) * 2**n * max(map(abs, F)) * abs(F[-1])
-    steps = 0
-    while p ** (2**steps) <= 2 * bound:
-        steps += 1
-    lifted = _hensel_lift(F, factors, p, steps)
-    split = partial(_modular_split, p ** (2**steps))
-    return [UniPoly(f.variable, g) for g in _recombine(F, lifted, split)]
+    bound = polyring._quotient_bound(F, len(F) - 1) * abs(F[-1])
+    lifted, m = modp.hensel_lift(F, factors, p, 2 * bound)
+    return [UniPoly(f.variable, g) for g in _recombine(F, lifted, partial(_modular_split, m))]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ of degree n!, over the roots r_i of f.  Each coefficient of R is an integer
 polynomial in u and the coefficients of f.  So once rational coefficients
 and weights are scaled out, leaving a monic integral f and integral u, R is
 read off roots modulo a prime power: at a prime p >= 3 where the squarefree
-part of f splits into distinct linear factors, its roots mod p are
-lifted by Newton's iteration (von zur Gathen and Gerhard, §9.4) to p-adic
-roots modulo m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i|
+part of f splits into distinct linear factors, its roots mod p, the
+linear factors x - a, are lifted along modp.hensel_lift's factor tree (von
+zur Gathen and Gerhard, Alg. 15.17) to p-adic roots modulo the least
+m = p^k > 2 max_k C(n!, k) beta^k, where beta = sum |u_i|
 times an integer bound on the roots of f, and each is repeated by its
 multiplicity in f.  Every v_s then has absolute value at most beta, so
 the coefficient of X^(N-k) in a product of N of the factors X - v_s is at
@@ -265,9 +266,10 @@ def _lifted_root_sums(F, u, p, residues, S=None):
     default, splits into distinct linear factors mod p, where its roots are
     the residues; its lifted roots are repeated by their multiplicities in
     F mod p."""
-    k = _lift_exponent(F, u, p)
-    m = p**k
-    roots = [a for a in _numeric_roots(S or F, p, k, residues) for _ in range(_multiplicity(F, a % p, p))]
+    size = _FACT[len(F) - 1]
+    beta = _beta(F, u)
+    roots, m = _numeric_roots(S or F, p, 2 * max(comb(size, j) * beta**j for j in range(size + 1)), residues)
+    roots = [a for a in roots for _ in range(_multiplicity(F, a % p, p))]
     return _root_sums(roots, u, m), m
 
 
@@ -283,52 +285,18 @@ def _resolvent(values, m):
     return UniPoly("x", modp.symmetric(modp.from_roots(values, m), m))
 
 
-def _lift_exponent(F, u, p):
-    """The least k with p^k above twice every coefficient bound
-    C(n!, k) beta^k of the total resolvent."""
-    size = _FACT[len(F) - 1]
-    beta = _beta(F, u)
-    return _least_exponent(p, 2 * max(comb(size, j) * beta**j for j in range(size + 1)))
-
-
-def _least_exponent(p, bound):
-    """The least k >= 1 with p^k > bound."""
-    k = 1
-    while p**k <= bound:
-        k += 1
-    return k
-
-
 def _beta(F, u):
     """A bound on |u_1 r_(s(1)) + ... + u_n r_(s(n))| over the roots r_i of F."""
     return sum(map(abs, u)) * _root_bound(F)
 
 
-def _numeric_roots(F, p, k, residues):
-    """The roots of the monic F as p-adic numbers modulo p^k, lifted from
-    its simple roots mod p, the residues, in their order.  Newton's step
-    a -> a - F(a)/F'(a) takes a simple root mod p^e to one mod p^(2e) (von
-    zur Gathen and Gerhard, §9.4), so each root climbs the precisions
-    ..., ceil(k/4), ceil(k/2), k."""
-    dF = [i * c for i, c in enumerate(F)][1:]
-    precisions = [k]
-    while precisions[-1] > 1:
-        precisions.append((precisions[-1] + 1) // 2)
-    lifted = []
-    for a in residues:
-        for e in reversed(precisions[:-1]):
-            m = p**e
-            a = (a - _value(F, a, m) * pow(_value(dF, a, m), -1, m)) % m
-        lifted.append(a)
-    return lifted
-
-
-def _value(f, a, m):
-    """f(a) mod m, by Horner's rule."""
-    v = 0
-    for c in reversed(f):
-        v = (v * a + c) % m
-    return v
+def _numeric_roots(F, p, bound, residues):
+    """(roots, m): the roots of the monic F as p-adic numbers modulo m, the
+    least power of p above bound, lifted from its simple roots mod p, the
+    residues, in their order.  F = prod (x - a) mod p over the residues, and
+    modp.hensel_lift lifts these linear factors."""
+    lifts, m = modp.hensel_lift(F, [[-a % p, 1] for a in residues], p, bound)
+    return [-g[0] % m for g in lifts], m
 
 
 def _multiplicity(F, r, p):
@@ -602,8 +570,8 @@ def _resolvent_is_squarefree(F, u, p, residues):
     integer weights u is squarefree: when the root sums, on the roots
     lifted at the split prime p, are distinct mod p^K > (2 beta)^(n!).
     The module docstring gives the norm argument that makes this exact."""
-    k = _least_exponent(p, (2 * _beta(F, u)) ** _FACT[len(F) - 1])
-    return _distinct(_root_sums(_numeric_roots(F, p, k, residues), u, p**k))
+    roots, m = _numeric_roots(F, p, (2 * _beta(F, u)) ** _FACT[len(F) - 1], residues)
+    return _distinct(_root_sums(roots, u, m))
 
 
 def _identify_group(F, u, p, residues):

@@ -23,7 +23,9 @@ Algebra*, 3rd ed.):
 
 hensel_step is one quadratic Hensel step (Alg. 15.10): it lifts
 f = g*h mod m, with h monic and s*g + t*h = 1 mod m, to the same relations
-mod m^2.
+mod m^2.  hensel_lift runs it along a balanced factor tree (Alg. 15.17):
+Zassenhaus's factorization lifts its modular factors with it, and the
+Galois group its roots mod p, as linear factors.
 """
 
 import random
@@ -308,3 +310,32 @@ def hensel_step(f, g, h, s, t, m):
     s = sub(s, d, mm)
     t = sub(t, add(mul(t, b, mm), mul(c, g, mm), mm), mm)
     return g, h, s, t
+
+
+def hensel_lift(f, factors, p, bound):
+    """(lifts, m): the monic lifts mod m, the least power of p above bound,
+    of the pairwise coprime monic factors mod p of f = lc(f) prod(factors)
+    mod p, with f = lc(f) prod(lifts) mod m.
+
+    Along a balanced factor tree (Alg. 15.17), hensel_step lifts each node's
+    left product, which carries lc(f), and its monic right one through the
+    precisions 1, ..., ceil(k/4), ceil(k/2), k, reducing to each one."""
+    k, m = 1, p
+    while m <= bound:
+        k, m = k + 1, m * p
+    if len(factors) == 1:
+        return [monic(trim(f, m), m)], m
+    ladder = [k]
+    while ladder[0] > 1:
+        ladder.insert(0, (ladder[0] + 1) // 2)
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for a in factors[:half]:
+        g = mul(g, a, p)
+    h = [1]
+    for a in factors[half:]:
+        h = mul(h, a, p)
+    s, t = bezout(g, h, p)
+    for i, j in zip(ladder, ladder[1:]):
+        g, h, s, t = (trim(a, p**j) for a in hensel_step(f, g, h, s, t, p**i))
+    return hensel_lift(g, factors[:half], p, bound)[0] + hensel_lift(h, factors[half:], p, bound)[0], m

@@ -31,6 +31,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd as int_gcd
+from math import isqrt
 from math import lcm as int_lcm
 from math import prod
 from operator import add, mul, neg, sub
@@ -1301,18 +1302,20 @@ def unpack(n, slots, width):
 
 
 def _quotient_bound(a, n):
-    """Mignotte's bound on every integer divisor of degree n of a (§6.6)."""
-    return (len(a) * max(map(abs, a))) << n
+    """Mignotte's bound on every integer divisor of degree n of a (§6.6):
+    (isqrt(len a) + 1) 2^n |a|_inf, which is at least 2^n |a|_2."""
+    return ((isqrt(len(a)) + 1) * max(map(abs, a))) << n
 
 
 def exact_quotient(a, b):
     """a / b for integer coefficient lists when b divides a in Z[x], else None.
 
-    Any exact quotient q has |q|_inf <= B = 2^deg(q) len(a) |a|_inf (Mignotte,
-    von zur Gathen and Gerhard §6.6).  Packed at 2^(8w - 1) > B |b|_1, |a|_inf,
-    b | a gives pack(a) = pack(q) pack(b), so one divmod finds pack(q) (§8.4).
-    The q read back is accepted only when |q|_inf <= B and pack(q) pack(b) ==
-    pack(a): all digits are below t/2, so that is the polynomial equality."""
+    Any exact quotient q has |q|_inf <= B = 2^deg(q) (isqrt(len a) + 1)
+    |a|_inf (Mignotte, von zur Gathen and Gerhard §6.6).  Packed at
+    2^(8w - 1) > B |b|_1, |a|_inf, b | a gives pack(a) = pack(q) pack(b), so
+    one divmod finds pack(q) (§8.4).  The q read back is accepted only when
+    |q|_inf <= B and pack(q) pack(b) == pack(a): all digits are below t/2, so
+    that is the polynomial equality."""
     n = len(a) - len(b)
     if n < 0:
         return None if a else []

@@ -27,9 +27,9 @@ class PointSet:
     """A square system with its exact simple solutions.
 
     system: n MultiPoly in n variables; points: list of coordinate dicts or
-    sequences (ordered like the variable union).  Construction verifies that
-    every point kills every equation and that the Jacobian determinant is
-    nonzero at every point.
+    sequences (ordered like the variable union), each with one coordinate
+    per variable.  Construction verifies that every point kills every
+    equation and that the Jacobian determinant is nonzero at every point.
     """
 
     def __init__(self, system, points):
@@ -44,6 +44,11 @@ class PointSet:
             )
         self.points = []
         for pt in points:
+            fits = set(pt) == set(self.variables) if isinstance(pt, dict) else len(pt) == n
+            if not fits:
+                raise DomainError(
+                    f"point {len(self.points) + 1} needs one coordinate per variable: {', '.join(self.variables)}"
+                )
             if not isinstance(pt, dict):
                 pt = dict(zip(self.variables, pt))
             self.points.append({v: Fraction(pt[v]) for v in self.variables})

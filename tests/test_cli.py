@@ -245,6 +245,37 @@ def test_interpolation_at_rational_points_is_pinned(tmp_path, capsys):
     assert capsys.readouterr() == (json.dumps({"interpolant": interpolant}) + "\n", "")
 
 
+_PROBLEM = {"system": ["x - 1"], "points": [["1"]], "numerator": "x", "values": ["1/2"]}
+_MALFORMED = [
+    [1, 2],
+    dict(_PROBLEM, points=[[None]]),
+    dict(_PROBLEM, points=[["1", "2"]]),  # a coordinate too many
+    dict(_PROBLEM, system=["x^2 - 1", "y"]),  # a coordinate too few
+    dict(_PROBLEM, system="x - 1"),
+    dict(_PROBLEM, points=[[float("inf")]]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [(command, problem) for problem in _MALFORMED for command in ("residue", "interpolate")]
+    + [("interpolate", dict(_PROBLEM, values=["1/0"])), ("residue", dict(_PROBLEM, numerator=2))],
+)
+def test_a_malformed_problem_file_exits_1_with_one_error_line(command, problem, tmp_path, capsys):
+    # the document's shape, its coordinates and values, and each point's
+    # length are checked before any algebra; the well-formed file answers
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_PROBLEM))
+    assert main([command, "--", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(problem))
+    assert main([command, "--", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def _run(*argv):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(

@@ -173,6 +173,65 @@ def test_hensel_step_lifts_both_relations():
             assert modp.trim(g, p) == modp.trim(g0, p) and modp.trim(h, p) == h0
 
 
+def _newton_roots(f, p, k, residues):
+    """The simple roots of f mod p, the residues, lifted to p^k by Newton's
+    step a -> a - f(a)/f'(a) through the precisions ..., ceil(k/2), k (von
+    zur Gathen and Gerhard, §9.4): the reference for lifting linear
+    factors."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    precisions = [k]
+    while precisions[-1] > 1:
+        precisions.append((precisions[-1] + 1) // 2)
+    lifted = []
+    for a in residues:
+        for e in reversed(precisions[:-1]):
+            m = p**e
+            a = (a - _value(f, a, m) * pow(_value(df, a, m), -1, m)) % m
+        lifted.append(a)
+    return lifted
+
+
+def _lift_inputs(rng, p, split):
+    """(f, factors): an integer f, perturbed by p times a random tail, and
+    its pairwise coprime monic factors mod p; linear ones when split."""
+    while True:
+        lc = rng.choice([1, rng.randrange(1, p), rng.randrange(1, 10**6)])
+        if not lc % p:
+            continue
+        if split:
+            factors = [[-a % p, 1] for a in rng.sample(range(p), rng.randint(1, min(p, 6)))]
+            f = [lc]
+            for g in factors:
+                f = modp.mul(f, g, p**70)
+        else:
+            f = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))] + [lc]
+            if len(modp.gcd(modp.trim(f, p), modp.derivative(modp.trim(f, p), p), p)) > 1:
+                continue
+            factors = modp.factor_squarefree(modp.monic(modp.trim(f, p), p), p)
+        f = [c + p * rng.randint(-(10**9), 10**9) for c in f[:-1]] + [f[-1]]
+        return f, factors
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_hensel_lift_reaches_the_least_power_above_the_bound(split):
+    rng = random.Random(83 + split)
+    for p in (2, 3, 5, 7, 11, 101):
+        for k in (1, 2, 3, 5, 61):
+            for bound in (p ** (k - 1), p**k - 1):  # the least and greatest giving p^k
+                f, factors = _lift_inputs(rng, p, split)
+                lifts, m = modp.hensel_lift(f, factors, p, bound)
+                assert m == p**k
+                assert len(lifts) == len(factors)
+                product = [f[-1] % m]
+                for g, h in zip(lifts, factors):
+                    assert g[-1] == 1 and modp.trim(g, p) == h
+                    product = modp.mul(product, g, m)
+                assert product == modp.trim(f, m), (p, k, f)
+                if split:
+                    residues = [-h[0] % p for h in factors]
+                    assert [-g[0] % m for g in lifts] == _newton_roots(f, p, k, residues)
+
+
 def _irreducible_count(p, d):
     """Monic irreducibles of degree d over F_p, by Gauss's formula."""
     mobius = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1}

@@ -94,6 +94,16 @@ def test_product_grid_raises_on_a_repeated_root():
         PointSet(system, [(1, 1)])  # not a simple zero
 
 
+def test_a_point_needs_one_coordinate_per_variable():
+    # a coordinate too many was dropped, and one too few was a KeyError
+    one = parse_polys(["x - 1"])
+    two = parse_polys(["x^2 - 1", "y"])
+    for system, point in ((one, (1, 2)), (two, (1,)), (two, {"x": 1}), (two, {"x": 1, "z": 0})):
+        with pytest.raises(DomainError, match="one coordinate per variable: "):
+            PointSet(system, [point])
+    assert PointSet(two, [{"y": 0, "x": -1}]).points == [{"x": -1, "y": 0}]
+
+
 def test_product_grid_raises_on_a_duplicated_point():
     points = [(1, 2), (-1, 2), (1, -2), (-1, -2)]
     system = parse_polys(["x^2 - 1", "y^2 - 4"])

@@ -72,6 +72,57 @@ def test_mod_p_polynomial_arithmetic_lives_in_modp():
     assert not found, f"mod-p polynomial arithmetic outside kronecker.modp: {found}"
 
 
+def _lifts_by_hand(tree):
+    """Lines of the calls to hensel_step and of the modular inverses
+    pow(x, -1, m) in a module: the pieces of a p-adic lift."""
+    return [
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and (
+            getattr(call.func, "id", getattr(call.func, "attr", None)) == "hensel_step"
+            or (
+                getattr(call.func, "id", None) == "pow"
+                and len(call.args) == 3
+                and isinstance(call.args[1], ast.UnaryOp)
+                and isinstance(call.args[1].op, ast.USub)
+                and getattr(call.args[1].operand, "value", None) == 1
+            )
+        )
+    ]
+
+
+def test_one_p_adic_lift():
+    # Zassenhaus's factors and the Galois group's roots both come from
+    # modp.hensel_lift: no other module takes a Hensel step or a modular
+    # inverse of its own
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "modp.py"
+        for line in _lifts_by_hand(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"Hensel steps or modular inverses outside kronecker.modp: {found}"
+
+
+def test_the_lift_lint_recognises_a_newton_ladder():
+    newton = (
+        "def _numeric_roots(F, dF, p, k, residues):\n"
+        "    lifted = []\n"
+        "    for a in residues:\n"
+        "        for e in range(1, k + 1):\n"
+        "            m = p**e\n"
+        "            a = (a - _value(F, a, m) * pow(_value(dF, a, m), -1, m)) % m\n"
+        "        lifted.append(a)\n"
+        "    return lifted\n"
+    )
+    assert _lifts_by_hand(ast.parse(newton)) == [6]
+    steps = "def lift(F, g, h, s, t, m):\n    return modp.hensel_step(F, g, h, s, t, m)\n"
+    assert _lifts_by_hand(ast.parse(steps)) == [2]
+    # a Legendre symbol's power and a plain power are no inverses
+    assert not _lifts_by_hand(ast.parse("pow(d, (p - 1) // 2, p)\npow(a, d, n)\npow(a, -2, m)\n"))
+
+
 def _byte_conversions(tree, allowed=()):
     """Lines of the int.to_bytes and int.from_bytes calls in a module, those
     inside the functions named in allowed left out."""
